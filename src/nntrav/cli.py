@@ -161,7 +161,7 @@ def _lr_sidecar(lr) -> dict:
             str(i): list(lr.layer_sets[i - 1]) for i in range(1, lr.k + 1)
         },
         "routes": {"nn": canonical_nn_route(lr), "hamiltonian": hamiltonian_route(lr)},
-        "costs": {"nn": (lr.k + 1) * (lr.nu + 1) - 1, "opt": lr.n - 1},
+        "costs": {"nn": lr.nn_cost, "opt": lr.n - 1},
         "scripted_ties": canonical_nn_route(lr),
     }
 
@@ -202,10 +202,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "base_n": pr.base.n,
             "extras": list(pr.extras),
             "routes": {"nn": pr.nn_route, "hamiltonian": pr.hamiltonian},
-            "costs": {
-                "nn": len(pr.extras) + (k + 1) * (nu + 1) - 1,
-                "opt": graph.n - 1,
-            },
+            "costs": {"nn": len(pr.extras) + pr.base.nn_cost, "opt": graph.n - 1},
             "scripted_ties": pr.nn_route,
         }
     elif family == "dfs-killer":
@@ -475,7 +472,7 @@ def _bench_row(row: dict, index: int, seed: int) -> dict:
     if kind == "lr-ratio":
         m, k = row["m"], row["k"]
         lr = build_lr(1 << m, k)
-        value = (k + 1) * ((1 << m) + 1) - 1
+        value = lr.nn_cost
         bound = lr.n - 1
         out.update(family="lr-pow2", n=lr.n, m=m, k=k,
                    value=value, bound=bound, ratio=f"{value}/{bound}")

@@ -7,8 +7,7 @@ replayable against their original input.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -37,7 +36,10 @@ class Graph:
         self._adj: list[set[int]] = [set() for _ in range(n)]
         self._edge_count = 0
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise GraphError(f"edge entries must be pairs, got {pair!r}") from None
             self._check_node(u)
             self._check_node(v)
             if u == v:
@@ -92,15 +94,9 @@ class Graph:
         return g
 
     def component(self, v: int) -> set[int]:
-        self._check_node(v)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        seen: set[int] = set()
+        for level in bfs_levels(self, (v,)):
+            seen.update(level)
         return seen
 
     def is_connected(self) -> bool:
@@ -123,47 +119,53 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def bfs_distances(graph: Graph, source: int) -> list[int]:
-    """Hop distances from ``source``; unreachable nodes get the sentinel n+1."""
-    graph._check_node(source)
-    sentinel = graph.n + 1
-    dist = [sentinel] * graph.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for w in graph.adjacent(u):
-            if dist[w] == sentinel:
-                dist[w] = d
-                queue.append(w)
+def bfs_levels(graph: Graph, sources: Iterable[int]) -> Iterator[list[int]]:
+    """Level-synchronous BFS: yields the nodes at hop distance 0, 1, 2, ... from
+    the nearest source, one list per level; level 0 is the distinct sources.
+
+    The sources are validated once; the adjacency was validated when the graph
+    was built, so the inner loop reads it directly.  Each level is computed
+    only when asked for, so a consumer that stops early pays only for the ball
+    it looked at.
+    """
+    seen: set[int] = set()
+    frontier: list[int] = []
+    for s in sources:
+        graph._check_node(s)
+        if s not in seen:
+            seen.add(s)
+            frontier.append(s)
+    adj = graph._adj
+    while frontier:
+        yield frontier
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+
+
+def bfs_distances(graph: Graph, *sources: int) -> list[int]:
+    """Hop distance from the nearest of ``sources``; unreachable nodes get the sentinel n+1."""
+    dist = [graph.n + 1] * graph.n
+    for d, level in enumerate(bfs_levels(graph, sources)):
+        for v in level:
+            dist[v] = d
     return dist
 
 
 def hop_distance(graph: Graph, u: int, v: int) -> int | None:
     """Hop distance between two nodes, or None when unreachable.
 
-    Early-exits at the target, so the cost is the BFS ball around ``u`` rather
-    than a full sweep.
+    Stops at the target's level, so the cost is the BFS ball around ``u``
+    rather than a full sweep.
     """
-    graph._check_node(u)
     graph._check_node(v)
-    if u == v:
-        return 0
-    seen = {u}
-    frontier = [u]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for w in graph.adjacent(x):
-                if w == v:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    for d, level in enumerate(bfs_levels(graph, (u,))):
+        if v in level:
+            return d
     return None
 
 
@@ -173,24 +175,12 @@ def nearest_of(graph: Graph, source: int, targets: set[int]) -> tuple[int, list[
     ``source`` itself is ignored even if present in ``targets``.  Returns None
     when no target is reachable.  The tied list is sorted ascending.
     """
-    graph._check_node(source)
-    seen = {source}
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        hits = []
-        for x in frontier:
-            for w in graph.adjacent(x):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if w in targets:
-                        hits.append(w)
+    levels = enumerate(bfs_levels(graph, (source,)))
+    next(levels)  # level 0 is the source itself
+    for d, level in levels:
+        hits = [w for w in level if w in targets]
         if hits:
             return d, sorted(hits)
-        frontier = nxt
     return None
 
 
@@ -198,8 +188,8 @@ class CostFunction:
     """Symmetric nonnegative integer costs on node pairs.
 
     Two kinds: the hop metric of a graph, or an explicit complete matrix.
-    Zero costs between distinct nodes are legal for matrices but are surfaced
-    by :meth:`zero_cost_pairs` so reports can flag them.
+    Zero costs between distinct nodes are legal for matrices.  :meth:`row`
+    and :meth:`cost` read either kind the same way.
     """
 
     __slots__ = ("kind", "n", "graph", "_matrix", "_metric")
@@ -249,17 +239,19 @@ class CostFunction:
             raise UnreachableError(f"nodes {u} and {v} are disconnected under the hop metric")
         return d
 
-    def as_matrix(self) -> list[list[int]]:
-        if self.kind == "matrix":
-            return [row[:] for row in self._matrix]
-        sentinel = self.n + 1
-        rows = []
-        for u in range(self.n):
+    def row(self, u: int) -> list[int]:
+        """Costs from ``u`` to every node, indexed by node id.  Treat it as read-only."""
+        if self.kind == "hop":
             row = bfs_distances(self.graph, u)
-            if sentinel in row:
+            if self.n + 1 in row:
                 raise UnreachableError("graph is disconnected; hop metric is partial")
-            rows.append(row)
-        return rows
+            return row
+        if not 0 <= u < self.n:
+            raise GraphError(f"invalid node {u!r} for {self.n} nodes")
+        return self._matrix[u]
+
+    def as_matrix(self) -> list[list[int]]:
+        return [list(self.row(u)) for u in range(self.n)]
 
     def is_metric(self) -> bool:
         if self._metric is None:
@@ -270,33 +262,9 @@ class CostFunction:
         """(min, max) cost over distinct pairs."""
         if self.n < 2:
             raise GraphError("no distinct pairs on a single node")
-        if self.kind == "hop":
-            if self.graph.edge_count == 0:
-                raise UnreachableError("graph has no edges; hop metric is partial")
-            # adjacent distinct nodes sit at distance exactly 1
-            lo = 1
-            hi = 0
-            sentinel = self.n + 1
-            for u in range(self.n):
-                row = bfs_distances(self.graph, u)
-                far = max(row)
-                if far == sentinel:
-                    raise UnreachableError("graph is disconnected; hop metric is partial")
-                hi = max(hi, far)
-            return lo, hi
-        lo = min(self._matrix[u][v] for u in range(self.n) for v in range(u + 1, self.n))
-        hi = max(self._matrix[u][v] for u in range(self.n) for v in range(u + 1, self.n))
-        return lo, hi
-
-    def zero_cost_pairs(self) -> list[Edge]:
-        if self.kind == "hop":
-            return []
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if self._matrix[u][v] == 0
-        ]
+        tails = (self.row(u)[u + 1:] for u in range(self.n - 1))
+        extremes = [(min(t), max(t)) for t in tails]
+        return min(lo for lo, _ in extremes), max(hi for _, hi in extremes)
 
 
 def check_triangle(c: CostFunction) -> tuple[int, int, int] | None:
@@ -394,14 +362,18 @@ def instance_from_json_obj(obj: dict) -> tuple[Graph, CostFunction | None]:
         edges = obj["edges"]
     except KeyError as err:
         raise GraphError(f"graph JSON is missing key {err.args[0]!r}") from None
+    if not isinstance(edges, list):
+        raise GraphError(f"edges must be a list, got {edges!r}")
     graph = Graph(n, edges)
     weights = obj.get("weights")
     if weights is None:
         return graph, None
+    if not isinstance(weights, list):
+        raise GraphError(f"weights must be a list, got {weights!r}")
     mat = [[0] * n for _ in range(n)]
     seen: set[Edge] = set()
     for item in weights:
-        if len(item) != 3:
+        if not isinstance(item, list) or len(item) != 3:
             raise GraphError(f"weight entry must be [u, v, w], got {item!r}")
         u, v, w = item
         graph._check_node(u)
@@ -417,36 +389,6 @@ def instance_from_json_obj(obj: dict) -> tuple[Graph, CostFunction | None]:
     if len(seen) != want:
         raise GraphError(f"explicit matrix must cover all {want} pairs, got {len(seen)}")
     return graph, CostFunction.from_matrix(mat)
-
-
-def graph_to_edge_list(graph: Graph) -> str:
-    """Plain text: header ``<n> <edge-count>`` then one ``u v`` line per edge."""
-    lines = [f"{graph.n} {graph.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_edge_list(text: str) -> Graph:
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
-    if not rows:
-        raise GraphError("edge-list text is empty")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise GraphError(f"edge-list header must be 'n <count>', got {rows[0]!r}")
-    try:
-        n, count = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphError(f"edge-list header must be two ints, got {rows[0]!r}") from None
-    body = rows[1:]
-    if len(body) != count:
-        raise GraphError(f"edge-list header promises {count} edges, found {len(body)}")
-    edges = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return Graph(n, edges)
 
 
 def graph_to_dot(graph: Graph, name: str = "G") -> str:

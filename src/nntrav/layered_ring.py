@@ -113,6 +113,11 @@ class LayeredRing:
     def backbone(self) -> list[int]:
         return list(range(self.nu + 1))
 
+    @property
+    def nn_cost(self) -> int:
+        """Cost of the canonical greedy route: every layer pays the whole ring."""
+        return (self.k + 1) * (self.nu + 1) - 1
+
 
 def _ring_graph(nu: int, positions: list[int]) -> Graph:
     occupants: list[list[int]] = [[] for _ in range(nu + 1)]
@@ -186,7 +191,7 @@ def canonical_nn_route(lr: LayeredRing) -> list[int]:
     """Backbone sweep, then each layer k..1 in increasing position order.
 
     A greedy traversal from node 0 can follow this order; its cost is
-    (k + 1) * (nu + 1) - 1 because every layer pays the whole ring.
+    :attr:`LayeredRing.nn_cost`.
     """
     order = list(range(lr.nu + 1))
     for layer in range(lr.k, 0, -1):

@@ -12,8 +12,8 @@ from .graph import (
     CostFunction,
     GraphError,
     UnreachableError,
+    bfs_levels,
     cost_of,
-    metric_closure,
     nearest_of,
     validate_traversal,
 )
@@ -76,13 +76,14 @@ class Scripted(TieBreak):
 def _nearest_unvisited(c: CostFunction, pos: int, unvisited: set[int]) -> tuple[int, list[int]]:
     """(distance, sorted tied nodes) for the cheapest unvisited node from ``pos``."""
     if c.kind == "hop":
+        # search only the ball around pos: a full row would cost one whole BFS per step
         found = nearest_of(c.graph, pos, unvisited)
         if found is None:
             raise UnreachableError(f"no unvisited node reachable from {pos}")
         return found
     best = None
     tied: list[int] = []
-    row = c._matrix[pos]
+    row = c.row(pos)
     for v in sorted(unvisited):
         w = row[v]
         if best is None or w < best:
@@ -120,50 +121,25 @@ def validate_nn_traversal(c: CostFunction, order: Sequence[int]) -> int | None:
     validate_traversal(order, c.n)
     if c.n == 1:
         return None
-    if c.kind == "matrix":
-        mat = c._matrix
-        unvisited = set(range(c.n))
-        unvisited.discard(order[0])
-        for i in range(1, c.n):
-            prev, cur = order[i - 1], order[i]
-            step = mat[prev][cur]
-            row = mat[prev]
-            if any(row[v] < step for v in unvisited):
-                return i
-            unvisited.discard(cur)
-        return None
-    # hop metric: expand BFS levels from the previous node until the chosen
-    # node appears; any unvisited node in a strictly earlier level wins.
-    graph = c.graph
     unvisited = set(range(c.n))
     unvisited.discard(order[0])
     for i in range(1, c.n):
         prev, cur = order[i - 1], order[i]
-        if cur in graph.adjacent(prev):
-            unvisited.discard(cur)
-            continue  # steps of cost 1 are always greedy-valid
-        seen = {prev}
-        frontier = [prev]
-        while frontier:
-            nxt = []
-            found_cur = False
-            found_other = False
-            for x in frontier:
-                for w in graph.adjacent(x):
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        if w == cur:
-                            found_cur = True
-                        elif w in unvisited:
-                            found_other = True
-            if found_cur:
-                break
-            if found_other:
+        if c.kind == "matrix":
+            row = c.row(prev)
+            step = row[cur]
+            if any(row[v] < step for v in unvisited):
                 return i
-            frontier = nxt
         else:
-            raise UnreachableError(f"step {i}: node {cur} unreachable from {prev}")
+            # hop metric: expand BFS levels from the previous node until the
+            # chosen node appears; an unvisited node in an earlier level wins.
+            for level in bfs_levels(c.graph, (prev,)):
+                if cur in level:
+                    break
+                if not unvisited.isdisjoint(level):
+                    return i
+            else:
+                raise UnreachableError(f"step {i}: node {cur} unreachable from {prev}")
         unvisited.discard(cur)
     return None
 

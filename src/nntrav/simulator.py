@@ -14,10 +14,9 @@ nearest unvisited node) hold regardless.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Edge, Graph, GraphError, normalize_edge
+from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
 
 
 class ScheduleError(GraphError):
@@ -253,25 +252,6 @@ def run_sim(
     return SimTrace(graph.n, start, pre, steps, outcome, state)
 
 
-def _true_distances_to_unvisited(graph: Graph, visited: list[bool]) -> list[int]:
-    # Multi-source BFS from every unvisited node; unreachable => n + 1 (the cap).
-    n = graph.n
-    cap = n + 1
-    true = [cap] * n
-    queue = deque()
-    for v in range(n):
-        if not visited[v]:
-            true[v] = 0
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for u in graph.adjacent(v):
-            if true[u] > true[v] + 1:
-                true[u] = true[v] + 1
-                queue.append(u)
-    return true
-
-
 def check_r1_r2(trace: SimTrace, graph: Graph) -> str | None:
     """Validate the two label invariants against the original graph + trace.
 
@@ -296,7 +276,8 @@ def check_r1_r2(trace: SimTrace, graph: Graph) -> str | None:
                     f"R1 violated at iteration {step.iteration}: "
                     f"dist[{v}] decreased {prev[v]} -> {step.dist[v]}"
                 )
-        true = _true_distances_to_unvisited(work, visited)
+        # unreachable => n + 1, the label cap
+        true = bfs_distances(work, *(v for v in range(trace.n) if not visited[v]))
         for v in range(trace.n):
             if visited[v] and step.dist[v] > true[v]:
                 return (

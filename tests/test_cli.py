@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import nntrav
 from nntrav.cli import main, split_seed
 
 EXIT_VALIDATION = 2
@@ -159,6 +166,23 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"edges": []}))
     rc, _, err = run(capsys, "traverse", "--input", str(bad))
     assert rc == EXIT_VALIDATION and "error:" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": [[0, 1, 2]]},
+    {"n": 3, "edges": [1]},
+    {"n": 3, "edges": 5},
+    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": [5, 6, 7]},
+    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": 5},
+])
+def test_malformed_shapes_exit_2_without_traceback(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nntrav.cli", "traverse", "--input", str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_VALIDATION
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_simulate_static_path(tmp_path, capsys):

@@ -13,9 +13,7 @@ from nntrav import (
     check_triangle,
     complete_graph,
     cost_of,
-    graph_from_edge_list,
     graph_to_dot,
-    graph_to_edge_list,
     hop_distance,
     instance_from_json_obj,
     instance_to_json_obj,
@@ -118,9 +116,10 @@ def test_matrix_validation():
         CostFunction.from_matrix([[0, 1], [1]])  # ragged
 
 
-def test_zero_cost_pairs_are_legal_but_reported():
+def test_zero_cost_pairs_are_legal():
     c = CostFunction.from_matrix([[0, 0, 2], [0, 0, 2], [2, 2, 0]])
-    assert c.zero_cost_pairs() == [(0, 1)]
+    assert c.cost(0, 1) == 0
+    assert c.pair_cost_extremes() == (0, 2)
 
 
 def test_check_triangle_finds_least_violation():
@@ -196,18 +195,41 @@ def test_instance_json_rejects_partial_weights():
         instance_from_json_obj(obj)
 
 
-def test_edge_list_round_trip():
-    g = random_connected_graph(random.Random(11), 6)
-    assert graph_from_edge_list(graph_to_edge_list(g)) == g
-    with pytest.raises(GraphError):
-        graph_from_edge_list("3 2\n0 1\n")  # header promises more edges
-
-
 def test_dot_output_shape():
     dot = graph_to_dot(path_graph(3))
     assert dot.startswith("graph G {")
     assert "0 -- 1;" in dot and "1 -- 2;" in dot
     assert dot.rstrip().endswith("}")
+
+
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bfs_kernel_consumers_agree(n, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    for u, v in g.edges():
+        if rng.random() < 0.3:
+            g.delete_edge(u, v)
+    sentinel = n + 1
+    rows = [bfs_distances(g, s) for s in range(n)]
+    sources = rng.sample(range(n), rng.randint(0, n))
+    assert bfs_distances(g, *sources) == [
+        min((rows[s][v] for s in sources), default=sentinel) for v in range(n)]
+    cost = CostFunction.hop_metric(g)
+    for u, row in enumerate(rows):
+        assert row[u] == 0
+        assert g.component(u) == {v for v in range(n) if row[v] < sentinel}
+        for v in range(n):
+            assert hop_distance(g, u, v) == (row[v] if row[v] < sentinel else None)
+        targets = set(rng.sample(range(n), rng.randint(0, n)))
+        near = min((row[v] for v in targets if v != u), default=sentinel)
+        tied = sorted(v for v in targets if v != u and row[v] == near)
+        assert nearest_of(g, u, targets) == (None if near == sentinel else (near, tied))
+        if sentinel in row:
+            with pytest.raises(UnreachableError):
+                cost.row(u)
+        else:
+            assert cost.row(u) == row
 
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
