@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .games import (
+    Adversary,
     CliqueAdversary,
     DfsRestartAgent,
     KillerAdversary,
@@ -176,6 +177,13 @@ def _require(args: argparse.Namespace, family: str, *names: str) -> list[int]:
     return values
 
 
+def _build_lr_pow2(m: int, k: int):
+    """The layered ring of size 2**m with k layers."""
+    if m < 1:
+        raise GraphError(f"need m >= 1, got {m}")
+    return build_lr(1 << m, k)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     family = args.family
@@ -183,9 +191,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params: dict = {}
     if family == "lr-pow2":
         m, k = _require(args, family, "m", "k")
-        if m < 1:
-            raise GraphError(f"need m >= 1, got {m}")
-        lr = build_lr(1 << m, k)
+        lr = _build_lr_pow2(m, k)
         graph, sidecar, params = lr.graph, _lr_sidecar(lr), {"m": m, "k": k}
     elif family == "lr-general":
         nu, k = _require(args, family, "nu", "k")
@@ -312,11 +318,11 @@ def cmd_traverse(args: argparse.Namespace) -> int:
         bound = nn_upper_bound(cost.n, opt)
         report["nn_bound"] = bound
         report["within_nn_bound"] = total <= bound
-        lo, _ = cost.pair_cost_extremes()
+        lo, hi = cost.pair_cost_extremes()
         if lo > 0:
             # computed even when the triangle inequality fails; the metric flag
             # and violation triple say whether the bound is actually claimed
-            abound = aspect_ratio_bound(cost, opt)
+            abound = aspect_ratio_bound(opt, lo, hi)
             report["aspect_bound"] = abound
             report["within_aspect_bound"] = total <= abound
     _write_text(args.output, _dump_json(report))
@@ -324,6 +330,18 @@ def cmd_traverse(args: argparse.Namespace) -> int:
 
 
 # --- simulate ----------------------------------------------------------------
+
+
+def _write_trace(trace, summary: dict, output: str | None) -> int:
+    """Trace lines to ``output`` and the summary to stdout, or without ``output``
+    the trace lines alone to stdout; the exit code follows the trace's outcome."""
+    lines = "\n".join(trace.to_json_lines()) + "\n"
+    if output:
+        _write_text(output, lines)
+        _write_text(None, _dump_json(summary))
+    else:
+        _write_text(None, lines)
+    return EXIT_BUDGET if trace.outcome == "budget-exhausted" else EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -334,7 +352,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.schedule:
         schedule = FailureSchedule.from_json_obj(_read_json(args.schedule))
     trace = run_sim(graph, args.start, schedule, args.budget)
-    lines = "\n".join(trace.to_json_lines()) + "\n"
     summary = {
         "outcome": trace.outcome,
         "iterations": trace.iterations,
@@ -343,12 +360,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "r1_r2": check_r1_r2(trace, graph) or "ok",
         "progress": check_progress(trace) or "ok",
     }
-    if args.output:
-        _write_text(args.output, lines)
-        _write_text(None, _dump_json(summary))
-    else:
-        _write_text(None, lines)
-    return EXIT_BUDGET if trace.outcome == "budget-exhausted" else EXIT_OK
+    return _write_trace(trace, summary, args.output)
 
 
 # --- duel --------------------------------------------------------------------
@@ -362,47 +374,52 @@ def _make_agent(name: str):
     raise GraphError(f"unknown agent {name!r} (expected nn or dfs-restart)")
 
 
-def cmd_duel(args: argparse.Namespace) -> int:
-    agent = _make_agent(args.agent)
-    spec = args.adversary
-    graph = None
-    if args.input:
-        graph, cost, sidecar = _load_instance(args.input)
-        if cost.kind != "hop":
-            raise GraphError("duels run on plain graphs, not explicit cost matrices")
+def _duel_floor(spec: str, n: int) -> int:
+    """Steps the arena forces on any agent: every clique edge once (clique), a
+    spanning tree walked both ways (killer), or one step per new node (none)."""
+    if spec == "clique":
+        return n * (n - 1) // 2
+    if spec == "killer":
+        return 2 * (n - 1)
     if spec == "none":
-        adv = NullAdversary()
-        if graph is None and args.n is not None:
-            graph = complete_graph(args.n)
-    elif spec == "clique":
-        adv = CliqueAdversary()
+        return n - 1
+    raise GraphError(f"bench duel row has unknown adversary {spec!r}")
+
+
+def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary]:
+    """Graph and adversary for a duel: on the parsed instance JSON when one is
+    given (not None), else generated at size ``n``."""
+    graph = None
+    if instance is not None:
+        graph, cost = instance_from_json_obj(instance)
+        if cost is not None:
+            raise GraphError("duels run on plain graphs, not explicit cost matrices")
+        n = graph.n
+    if spec.startswith("schedule:"):
         if graph is None:
-            if args.n is None:
-                raise GraphError("duel with the clique adversary needs --n or --input")
-            graph = complete_graph(args.n)
-    elif spec == "killer":
-        if args.input:
-            obj = _read_json(args.input)
-            if not (isinstance(obj, dict) and obj.get("family") == "dfs-killer"):
-                raise GraphError("killer duels need a dfs-killer instance (or --n)")
-            trap = build_dfs_killer(obj["params"]["n"])
-            if trap.graph != graph:
-                raise GraphError("input graph does not match its dfs-killer parameters")
-        else:
-            if args.n is None:
-                raise GraphError("duel with the killer adversary needs --n or --input")
-            trap = build_dfs_killer(args.n)
-        graph = trap.graph
-        adv = KillerAdversary(trap)
-    elif spec.startswith("schedule:"):
+            raise GraphError("duel with a schedule adversary needs --input")
         schedule = FailureSchedule.from_json_obj(_read_json(spec.split(":", 1)[1]))
-        adv = ScheduleAdversary(schedule)
-    else:
+        return graph, ScheduleAdversary(schedule)
+    if spec not in ("none", "clique", "killer"):
         raise GraphError(
             f"unknown adversary {spec!r} (expected none, clique, killer, or schedule:FILE)")
-    if graph is None:
-        raise GraphError("duel needs a graph: pass --input or --n")
+    if n is None:
+        raise GraphError(f"duel with the {spec} adversary needs --n or --input")
+    if spec != "killer":
+        adv = NullAdversary() if spec == "none" else CliqueAdversary()
+        return (complete_graph(n) if graph is None else graph), adv
+    if instance is not None and instance.get("family") != "dfs-killer":
+        raise GraphError("killer duels need a dfs-killer instance (or --n)")
+    trap = build_dfs_killer(n)  # n is the dfs-killer family's only parameter
+    if graph is not None and trap.graph != graph:
+        raise GraphError("input graph does not match its dfs-killer parameters")
+    return trap.graph, KillerAdversary(trap)
 
+
+def cmd_duel(args: argparse.Namespace) -> int:
+    agent = _make_agent(args.agent)
+    instance = _read_json(args.input) if args.input else None
+    graph, adv = _arena(args.adversary, args.n, instance)
     trace = play_game(agent, adv, graph, args.start, args.budget)
     summary = {
         "agent": trace.agent,
@@ -415,17 +432,11 @@ def cmd_duel(args: argparse.Namespace) -> int:
         "bound_ok": None,
     }
     if isinstance(adv, CliqueAdversary):
-        bound = graph.n * (graph.n - 1) // 2
+        bound = _duel_floor("clique", graph.n)
         summary["bound"] = bound
         summary["bound_ok"] = trace.step_count >= bound
         summary["stages"] = clique_stage_lengths(trace)
-    lines = "\n".join(trace.to_json_lines()) + "\n"
-    if args.output:
-        _write_text(args.output, lines)
-        _write_text(None, _dump_json(summary))
-    else:
-        _write_text(None, lines)
-    return EXIT_BUDGET if trace.outcome == "budget-exhausted" else EXIT_OK
+    return _write_trace(trace, summary, args.output)
 
 
 # --- tree --------------------------------------------------------------------
@@ -464,15 +475,33 @@ def cmd_tree(args: argparse.Namespace) -> int:
 # --- bench -------------------------------------------------------------------
 
 BENCH_COLUMNS = ("family", "n", "m", "k", "agent", "adversary", "value", "bound", "ratio", "seed")
+BENCH_ROW_KEYS = {"lr-ratio": ("m", "k"), "duel": ("n", "agent", "adversary"), "random-metric": ("n",)}
 
 
-def _bench_row(row: dict, index: int, seed: int) -> dict:
+def _bench_row_kind(row: object, index: int) -> str:
+    """The row's kind, once the row holds that kind's keys and integer counts."""
+    if not isinstance(row, dict):
+        raise GraphError(f"bench row {index} must be an object, got {row!r}")
     kind = row.get("kind")
+    if not isinstance(kind, str) or kind not in BENCH_ROW_KEYS:
+        raise GraphError(f"bench row {index} has unknown kind {kind!r}")
+    for key in BENCH_ROW_KEYS[kind]:
+        if key not in row:
+            raise GraphError(f"bench {kind} row {index} needs {key!r}")
+    for key in ("n", "m", "k", "start", "budget", "max_cost"):
+        if key in row and (not isinstance(row[key], int) or isinstance(row[key], bool)):
+            raise GraphError(f"bench row {index}: {key!r} must be an integer, got {row[key]!r}")
+    return kind
+
+
+def _bench_row(row: object, index: int, seed: int) -> dict:
+    kind = _bench_row_kind(row, index)
     out = dict.fromkeys(BENCH_COLUMNS, "")
     if kind == "lr-ratio":
         m, k = row["m"], row["k"]
-        lr = build_lr(1 << m, k)
-        value = lr.nn_cost
+        lr = _build_lr_pow2(m, k)
+        hop = CostFunction.hop_metric(lr.graph)
+        value = cost_of(nn_traversal(hop, 0), hop)
         bound = lr.n - 1
         out.update(family="lr-pow2", n=lr.n, m=m, k=k,
                    value=value, bound=bound, ratio=f"{value}/{bound}")
@@ -480,20 +509,13 @@ def _bench_row(row: dict, index: int, seed: int) -> dict:
         agent = _make_agent(row["agent"])
         n = row["n"]
         spec = row["adversary"]
-        if spec == "clique":
-            graph, adv, bound = complete_graph(n), CliqueAdversary(), n * (n - 1) // 2
-        elif spec == "killer":
-            trap = build_dfs_killer(n)
-            graph, adv, bound = trap.graph, KillerAdversary(trap), 2 * (n - 1)
-        elif spec == "none":
-            graph, adv, bound = complete_graph(n), NullAdversary(), n - 1
-        else:
-            raise GraphError(f"bench duel row has unknown adversary {spec!r}")
+        bound = _duel_floor(spec, n)
+        graph, adv = _arena(spec, n, None)
         trace = play_game(agent, adv, graph, row.get("start", 0), row.get("budget"))
         out.update(family="duel", n=n, agent=row["agent"], adversary=spec,
                    value=trace.step_count, bound=bound,
                    ratio=f"{trace.step_count}/{bound}")
-    elif kind == "random-metric":
+    else:  # random-metric
         n = row["n"]
         eff = split_seed(seed, f"bench/{index}/random-metric/{n}")
         cost = random_metric_cost(n, random.Random(eff), row.get("max_cost", 9))
@@ -502,8 +524,6 @@ def _bench_row(row: dict, index: int, seed: int) -> dict:
         opt, _ = opt_traversal(cost)
         out.update(family="random-metric", n=n, value=value,
                    bound=nn_upper_bound(n, opt), ratio=f"{value}/{opt}", seed=eff)
-    else:
-        raise GraphError(f"bench row {index} has unknown kind {kind!r}")
     return out
 
 

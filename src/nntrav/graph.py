@@ -68,9 +68,6 @@ class Graph:
         self._check_node(v)
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacent(v))
-
     def edges(self) -> list[Edge]:
         out = [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
         out.sort()

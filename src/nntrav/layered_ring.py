@@ -27,39 +27,13 @@ def _check_ring(nu: int, k: int) -> None:
         raise GraphError(f"layer count must be >= 0, got {k}")
 
 
-def layers_pow2(m: int, k: int) -> list[tuple[int, ...]]:
-    """Halving position layers for ring size 2**m.
-
-    Layer 1 is {0, 1, 2, 4, ..., 2**m}; each later layer refines every gap
-    (a, b) of its predecessor with {a + 2**t : 2**t <= b - a}, plus 0.
-    """
-    if m < 1:
-        raise GraphError(f"need m >= 1, got {m}")
-    if k < 0:
-        raise GraphError(f"layer count must be >= 0, got {k}")
-    if k == 0:
-        return []
-    first = {0} | {1 << t for t in range(m + 1)}
-    layers = [tuple(sorted(first))]
-    for _ in range(k - 1):
-        prev = layers[-1]
-        cur = {0}
-        for a, b in zip(prev, prev[1:]):
-            g = b - a
-            t = 0
-            while (1 << t) <= g:
-                cur.add(a + (1 << t))
-                t += 1
-        layers.append(tuple(sorted(cur)))
-    return layers
-
-
 def layers_general(nu: int, k: int) -> list[tuple[int, ...]]:
     """Halving layers for arbitrary ring size, by repeated ceiling-halving.
 
     Layer 1 is {0} plus {ceil(nu / 2**t) : t >= 0}; each later layer refines
     every gap (a, b) with {a + ceil((b - a) / 2**t) : t >= 0}, plus 0.  For
-    nu = 2**m this reproduces :func:`layers_pow2` exactly.
+    nu = 2**m every ceiling is exact, so the layers are the powers-of-two
+    halvings: layer 1 is {0, 1, 2, 4, ..., 2**m}.
     """
     _check_ring(nu, k)
     if k == 0:
@@ -108,10 +82,6 @@ class LayeredRing:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def backbone(self) -> list[int]:
-        return list(range(self.nu + 1))
 
     @property
     def nn_cost(self) -> int:

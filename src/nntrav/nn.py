@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .graph import (
@@ -13,7 +12,6 @@ from .graph import (
     GraphError,
     UnreachableError,
     bfs_levels,
-    cost_of,
     nearest_of,
     validate_traversal,
 )
@@ -264,7 +262,7 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     return int(best), order
 
 
-# --- bounds and ratios -------------------------------------------------------
+# --- bounds -----------------------------------------------------------------
 
 
 def nn_upper_bound(n: int, opt_cost: int) -> int:
@@ -277,30 +275,11 @@ def nn_upper_bound(n: int, opt_cost: int) -> int:
     return math.ceil(opt_cost * (1.0 + math.log(n - 1)))
 
 
-def aspect_ratio_bound(c: CostFunction, opt_cost: int) -> int:
-    """Ceiling of opt_cost * (1 + ln(max pair cost / min pair cost))."""
-    lo, hi = c.pair_cost_extremes()
-    if lo == 0:
+def aspect_ratio_bound(opt_cost: int, lo: int, hi: int) -> int:
+    """Ceiling of opt_cost * (1 + ln(hi / lo)), where lo and hi are the min and
+    max pair costs (:meth:`CostFunction.pair_cost_extremes`)."""
+    if lo <= 0:
         raise GraphError("aspect ratio undefined: some distinct pair has cost 0")
     if opt_cost < 0:
         raise GraphError("optimal cost must be nonnegative")
     return math.ceil(opt_cost * (1.0 + math.log(hi / lo)))
-
-
-def approx_ratio(c: CostFunction, order: Sequence[int], opt_cost: int | None = None) -> Fraction:
-    """Exact rational (traversal cost) / (optimal cost).
-
-    Without ``opt_cost`` the exact oracle is used, so n must be <= 13; larger
-    instances need a certificate (for example a traversal of cost n-1 on a hop
-    metric, which no traversal can beat).
-    """
-    cost = cost_of(order, c)
-    if opt_cost is None:
-        opt_cost, _ = opt_traversal(c)
-    if opt_cost < 0:
-        raise GraphError("optimal cost must be nonnegative")
-    if opt_cost == 0:
-        if cost == 0:
-            return Fraction(1)
-        raise GraphError("ratio undefined: optimal cost 0 against positive cost")
-    return Fraction(cost, opt_cost)

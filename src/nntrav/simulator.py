@@ -37,8 +37,10 @@ class FailureSchedule:
                 raise ScheduleError(f"iteration keys must be integers >= 0, got {iteration!r}")
             batch = []
             for e in edges:
-                u, v = e
-                e = normalize_edge(u, v)
+                if not (isinstance(e, (list, tuple)) and len(e) == 2
+                        and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
+                    raise ScheduleError(f"edge entries must be pairs of node ids, got {e!r}")
+                e = normalize_edge(*e)
                 if e in seen:
                     raise ScheduleError(f"edge {e} scheduled for deletion twice")
                 seen.add(e)
@@ -62,10 +64,9 @@ class FailureSchedule:
             it = entry["iter"]
             if not isinstance(it, int) or isinstance(it, bool):
                 raise ScheduleError(f'"iter" must be an integer, got {it!r}')
-            for pair in entry["edges"]:
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                    raise ScheduleError(f"edge entries must be pairs, got {pair!r}")
-                deletions.setdefault(it, []).append((pair[0], pair[1]))
+            if not isinstance(entry["edges"], list):
+                raise ScheduleError(f'"edges" must be a list, got {entry["edges"]!r}')
+            deletions.setdefault(it, []).extend(entry["edges"])
         return cls({it: tuple(edges) for it, edges in deletions.items()})
 
     def to_json_obj(self) -> dict:
@@ -78,9 +79,6 @@ class FailureSchedule:
 
     def edges_at(self, iteration: int) -> tuple[Edge, ...]:
         return self.deletions.get(iteration, ())
-
-    def last_iteration(self) -> int:
-        return max(self.deletions, default=0)
 
 
 @dataclass
@@ -102,9 +100,6 @@ class SimState:
         vis = [False] * n
         vis[start] = True
         return cls(vis, [0] * n, start, 1, 0)
-
-    def copy(self) -> SimState:
-        return SimState(list(self.vis), list(self.dist), self.pos, self.exp, self.iteration)
 
 
 def has_terminated(state: SimState) -> bool:

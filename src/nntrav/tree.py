@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from .graph import CostFunction, Edge, GraphError, normalize_edge
-from .nn import LambdaProfile
 
 
 def validate_ranks(ranks, n: int) -> None:
@@ -39,18 +38,6 @@ class RankedTree:
     costs: dict[Edge, int]
     total: int
     root: int
-
-    @property
-    def n(self) -> int:
-        return len(self.attach) + 1
-
-    def edge_profile(self) -> LambdaProfile:
-        """Counts of edges of cost >= j; the level sums integrate to the total."""
-        counts: dict[int, int] = {}
-        for e in self.edges:
-            for j in range(1, self.costs[e] + 1):
-                counts[j] = counts.get(j, 0) + 1
-        return LambdaProfile(counts)
 
 
 def nn_tree(c: CostFunction, ranks) -> RankedTree:

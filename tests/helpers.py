@@ -15,7 +15,7 @@ def random_connected_graph(rng: random.Random, n: int, extra: int | None = None)
         edges.add(tuple(sorted((a, nodes[i]))))
     want = rng.randint(0, n) if extra is None else extra
     tries = 0
-    while want > 0 and tries < 50 * (want + 1):
+    while n > 1 and want > 0 and tries < 50 * (want + 1):
         tries += 1
         u, v = rng.sample(range(n), 2)
         e = tuple(sorted((u, v)))

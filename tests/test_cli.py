@@ -168,18 +168,50 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert rc == EXIT_VALIDATION and "error:" in err
 
 
-@pytest.mark.parametrize("doc", [
-    {"n": 3, "edges": [[0, 1, 2]]},
-    {"n": 3, "edges": [1]},
-    {"n": 3, "edges": 5},
-    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": [5, 6, 7]},
-    {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": 5},
-])
-def test_malformed_shapes_exit_2_without_traceback(tmp_path, doc):
+def _duel_row(**fields):
+    return {"rows": [dict({"kind": "duel", "n": 6, "agent": "nn", "adversary": "clique"},
+                          **fields)]}
+
+
+MALFORMED = [
+    ("traverse", {"n": 3, "edges": [[0, 1, 2]]}),
+    ("traverse", {"n": 3, "edges": [1]}),
+    ("traverse", {"n": 3, "edges": 5}),
+    ("traverse", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": [5, 6, 7]}),
+    ("traverse", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "weights": 5}),
+    ("killer", {"n": 12, "edges": [[0, 1]], "family": "dfs-killer"}),
+    ("killer", {"n": 12, "edges": [[0, 1]], "family": "dfs-killer", "params": {"n": "x"}}),
+    ("bench", {"rows": [{"kind": "lr-ratio", "m": 3}]}),
+    ("bench", {"rows": [{"kind": "duel", "n": 6}]}),
+    ("bench", {"rows": [5]}),
+    ("bench", {"rows": [{"kind": ["duel"]}]}),
+    ("bench", {"rows": [{"kind": "lr-ratio", "m": "3", "k": 1}]}),
+    ("bench", {"rows": [{"kind": "lr-ratio", "m": -1, "k": 1}]}),
+    ("bench", _duel_row(n="6")),
+    ("bench", _duel_row(start="0")),
+    ("bench", _duel_row(budget="9")),
+    ("bench", {"rows": [{"kind": "random-metric", "n": True}]}),
+    ("simulate-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
+    ("simulate-schedule", {"deletions": [{"iter": 1, "edges": 5}]}),
+    ("duel-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
+]
+
+
+@pytest.mark.parametrize("cmd, doc", MALFORMED, ids=[f"doc{i}" for i in range(len(MALFORMED))])
+def test_malformed_shapes_exit_2_without_traceback(tmp_path, cmd, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    path3 = tmp_path / "p.json"
+    path3.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    argv = {
+        "traverse": ["traverse", "--input", str(bad)],
+        "killer": ["duel", "dfs-restart", "killer", "--input", str(bad)],
+        "bench": ["bench", "--suite", str(bad)],
+        "simulate-schedule": ["simulate", "--input", str(path3), "--schedule", str(bad)],
+        "duel-schedule": ["duel", "nn", f"schedule:{bad}", "--input", str(path3)],
+    }[cmd]
     env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "nntrav.cli", "traverse", "--input", str(bad)],
+    proc = subprocess.run([sys.executable, "-m", "nntrav.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_VALIDATION
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
@@ -266,6 +298,13 @@ def test_duel_killer_from_generated_instance(tmp_path, capsys):
     side = json.loads((tmp_path / "trap.sidecar.json").read_text())
     assert side["rule"] == "first-nontree-forward-edge-per-search"
     assert side["script"]["deletions"]  # replayable cut schedule ships with it
+    # the trap is rebuilt from the graph's node count, not from "params"
+    doc = json.loads(inst.read_text())
+    del doc["params"]
+    inst.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "duel", "dfs-restart", "killer", "--input", str(inst),
+                     "--budget", str(4 * 12**3))
+    assert rc == 0 and last_json_line(out)["steps"] == 67
 
 
 def test_duel_killer_needs_matching_agent_and_instance(tmp_path, capsys):
@@ -382,6 +421,16 @@ def test_bench_suite_csv(tmp_path, capsys):
         if r["family"] == "random-metric":
             assert int(r["value"]) <= int(r["bound"])
             assert r["seed"] != ""
+
+
+def test_bench_lr_ratio_measures_the_canonical_cost(tmp_path, capsys):
+    grid = [(m, k) for m in range(1, 8) for k in range(5)]
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"kind": "lr-ratio", "m": m, "k": k} for m, k in grid]}))
+    rc, out, _ = run(capsys, "bench", "--suite", str(suite))
+    assert rc == 0
+    values = [int(line.split(",")[6]) for line in out.splitlines()[2:]]
+    assert values == [nntrav.build_lr(1 << m, k).nn_cost for m, k in grid]
 
 
 def test_bench_is_reproducible_and_seed_sensitive(tmp_path, capsys):

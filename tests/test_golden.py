@@ -49,10 +49,16 @@ CASES: dict[str, list[str]] = {
     "traverse-oracle-metric": ["traverse", "--input", "metric.json", "--start", "2",
                                "--seed", "0"],
     "traverse-disconnected": ["traverse", "--input", "disconnected.json", "--seed", "0"],
+    "traverse-zero-pair": ["traverse", "--input", "zero-pair.json", "--seed", "0"],
     "simulate-schedule": ["simulate", "--input", "ring.json", "--schedule", "sched.json",
                           "--output", TRACE],
     "duel-clique": ["duel", "nn", "clique", "--n", "6", "--output", TRACE],
     "duel-killer": ["duel", "dfs-restart", "killer", "--n", "12", "--output", TRACE],
+    "duel-killer-input": ["duel", "dfs-restart", "killer", "--input", "killer.json",
+                          "--budget", "6912", "--output", TRACE],
+    "duel-clique-input": ["duel", "nn", "clique", "--input", "complete6.json",
+                          "--output", TRACE],
+    "duel-none": ["duel", "dfs-restart", "none", "--n", "5"],
     "duel-schedule": ["duel", "nn", "schedule:sched.json", "--input", "ring.json",
                       "--output", TRACE],
     "tree-identity": ["tree", "--input", "metric.json", "--ranks", "identity", "--seed", "0"],

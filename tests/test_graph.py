@@ -34,7 +34,7 @@ def test_graph_basics():
     assert g.edge_count == 3
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert g.degree(1) == 2
+    assert len(g.adjacent(1)) == 2
     assert g.adjacent(1) == {0, 2}
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
@@ -202,7 +202,7 @@ def test_dot_output_shape():
     assert dot.rstrip().endswith("}")
 
 
-@given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_bfs_kernel_consumers_agree(n, seed):
     rng = random.Random(seed)

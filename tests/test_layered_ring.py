@@ -14,7 +14,6 @@ from nntrav import (
     hamiltonian_route,
     hop_distance,
     layers_general,
-    layers_pow2,
     leg_counts,
     nn_traversal,
     pad_to_n,
@@ -23,15 +22,38 @@ from nntrav import (
 )
 
 
+def layers_pow2(m: int, k: int) -> list[tuple[int, ...]]:
+    """Reference halving layers for ring size 2**m, by powers of two.
+
+    Layer 1 is {0, 1, 2, 4, ..., 2**m}; each later layer refines every gap
+    (a, b) of its predecessor with {a + 2**t : 2**t <= b - a}, plus 0.
+    """
+    if k == 0:
+        return []
+    first = {0} | {1 << t for t in range(m + 1)}
+    layers = [tuple(sorted(first))]
+    for _ in range(k - 1):
+        prev = layers[-1]
+        cur = {0}
+        for a, b in zip(prev, prev[1:]):
+            g = b - a
+            t = 0
+            while (1 << t) <= g:
+                cur.add(a + (1 << t))
+                t += 1
+        layers.append(tuple(sorted(cur)))
+    return layers
+
+
 def test_halving_layers_of_the_16_ring():
-    layers = layers_pow2(4, 2)
+    layers = layers_general(16, 2)
     assert layers[0] == (0, 1, 2, 4, 8, 16)
     assert layers[1] == (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16)
 
 
 def test_layers_are_nested():
     for m in range(2, 9):
-        layers = layers_pow2(m, m - 1)
+        layers = layers_general(1 << m, m - 1)
         for a, b in zip(layers, layers[1:]):
             assert set(a) <= set(b)
         assert {0, 1, 2**m} <= set(layers[0])
@@ -54,7 +76,7 @@ def test_leg_counts_match_position_gaps():
     for m in range(2, 9):
         k = m - 1
         counts = leg_counts(m, k)
-        layers = layers_pow2(m, k)
+        layers = layers_general(1 << m, k)
         for i in range(1, k + 1):
             pos = layers[i - 1]
             gaps: dict[int, int] = {}
@@ -104,7 +126,6 @@ def test_build_rejects_bad_parameters():
 
 def test_node_numbering_backbone_then_deep_layers():
     lr = build_lr(16, 2)
-    assert lr.backbone == list(range(17))
     assert lr.positions[:17] == list(range(17))
     # layer k comes right after the backbone, layer 1 last
     assert lr.layer_ids[2] == list(range(17, 29))

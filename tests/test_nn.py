@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from nntrav import (
     Scripted,
     SeededRandom,
     UnreachableError,
-    approx_ratio,
     aspect_ratio_bound,
     complete_graph,
     cost_of,
@@ -219,32 +217,20 @@ def test_nn_upper_bound_values():
 def test_aspect_ratio_bound_values():
     wide = CostFunction.from_matrix([[0, 1, 4], [1, 0, 4], [4, 4, 0]])
     assert wide.pair_cost_extremes() == (1, 4)
-    assert aspect_ratio_bound(wide, 10) == 24
+    assert aspect_ratio_bound(10, 1, 4) == 24
     # computes even when the triangle inequality fails
-    assert aspect_ratio_bound(unbounded_ratio_instance(10), 5) == 17
+    assert unbounded_ratio_instance(10).pair_cost_extremes() == (1, 10)
+    assert aspect_ratio_bound(5, 1, 10) == 17
     # unit aspect collapses the bound to the optimal cost itself
     hop = CostFunction.hop_metric(complete_graph(6))
-    assert aspect_ratio_bound(hop, 5) == 5
+    assert hop.pair_cost_extremes() == (1, 1)
+    assert aspect_ratio_bound(5, 1, 1) == 5
     zero = CostFunction.from_matrix([[0, 0], [0, 0]])
+    assert zero.pair_cost_extremes() == (0, 0)
     with pytest.raises(GraphError):
-        aspect_ratio_bound(zero, 1)
-
-
-def test_approx_ratio_is_exact_rational():
-    c = unbounded_ratio_instance(10)
-    order = nn_traversal(c, 3, Scripted([3, 2, 0, 1]))
-    assert approx_ratio(c, order) == Fraction(13, 5)
-    assert approx_ratio(c, order, opt_cost=5) == Fraction(13, 5)
-    _, best = opt_traversal(c)
-    assert approx_ratio(c, best) == 1
-
-
-def test_approx_ratio_zero_opt():
-    zero = CostFunction.from_matrix([[0, 0], [0, 0]])
-    assert approx_ratio(zero, [0, 1]) == 1
-    mixed = CostFunction.from_matrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        aspect_ratio_bound(1, 0, 0)
     with pytest.raises(GraphError):
-        approx_ratio(mixed, [2, 0, 1], opt_cost=0)
+        aspect_ratio_bound(-1, 1, 4)
 
 
 def test_scripted_ties_reproduce_target_route():

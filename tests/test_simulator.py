@@ -109,7 +109,7 @@ def test_schedule_json_round_trip():
     again = FailureSchedule.from_json_obj(sched.to_json_obj())
     assert again == sched
     assert again.edges_at(0) == ((1, 2),)  # normalized
-    assert again.last_iteration() == 3
+    assert max(again.deletions) == 3
     for bad in ({}, {"deletions": {}}, {"deletions": [{"iter": "x", "edges": []}]},
                 {"deletions": [{"iter": 1, "edges": [[0]]}]}):
         with pytest.raises(ScheduleError):
