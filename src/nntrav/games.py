@@ -11,13 +11,13 @@ to superquadratic totals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
-from .graph import Edge, Graph, GraphError, bfs_distances, nearest_of, normalize_edge
+from .graph import Edge, Graph, GraphError, bfs_levels, nearest_of, normalize_edge
 from .layered_ring import DfsTrap
-from .simulator import FailureSchedule
+from .simulator import FailureSchedule, encode_line
 
 
 class GameError(GraphError):
@@ -102,9 +102,8 @@ class GameTrace:
     def to_json_lines(self) -> list[str]:
         lines = []
         if self.pre_deleted:
-            lines.append(json.dumps(
-                {"step": 0, "deleted": [list(e) for e in self.pre_deleted]}, sort_keys=True))
-        lines.extend(json.dumps(s.as_json_obj(), sort_keys=True) for s in self.steps)
+            lines.append(encode_line({"step": 0, "deleted": [list(e) for e in self.pre_deleted]}))
+        lines.extend(encode_line(s.as_json_obj()) for s in self.steps)
         summary = {
             "agent": self.agent,
             "adversary": self.adversary,
@@ -112,7 +111,7 @@ class GameTrace:
             "steps": self.step_count,
             "visited": sorted(self.visited),
         }
-        lines.append(json.dumps(summary, sort_keys=True))
+        lines.append(encode_line(summary))
         return lines
 
 
@@ -144,7 +143,9 @@ def play_game(
     pre = tuple(normalize_edge(u, v) for u, v in adv.reset(work, start))
     for u, v in pre:
         work.delete_edge(u, v)
+    adj = work.adjacency
     visited = {start}
+    visited_view = frozenset(visited)  # the adversary's copy, rebuilt only when a node is new
     pos = start
     steps: list[GameStep] = []
     outcome = "budget-exhausted"
@@ -156,11 +157,14 @@ def play_game(
                     f"illegal halt at {pos}: unvisited nodes are still reachable")
             outcome = "halted"
             break
-        if not work.has_edge(pos, move):
-            raise GameError(f"illegal move {pos} -> {move}: nodes not adjacent")
+        # the sets hold only valid ids, but True == 1 and 1.0 == 1 would pass
+        if type(move) is not int or move not in adj[pos]:
+            raise GameError(f"illegal move {pos} -> {move!r}: nodes not adjacent")
         frm, pos = pos, move
-        visited.add(pos)
-        view = GameView(work, frozenset(visited), pos, len(steps) + 1, (frm, pos))
+        if pos not in visited:
+            visited.add(pos)
+            visited_view = frozenset(visited)
+        view = GameView(work, visited_view, pos, len(steps) + 1, (frm, pos))
         cuts = []
         for u, v in adv.react(view):
             e = normalize_edge(u, v)
@@ -175,6 +179,8 @@ class NnAgent(AgentStrategy):
 
     Both the target and the hop break ties by lowest id; everything is
     recomputed from the current graph every step, so deletions reroute it.
+    The hop is found by a BFS from the target that stops at radius d − 1,
+    where d is the walker's distance to it.
     """
 
     name = "nn"
@@ -188,8 +194,8 @@ class NnAgent(AgentStrategy):
         target = tied[0]
         if dist == 1:
             return target
-        from_target = bfs_distances(graph, target)
-        return min(u for u in graph.adjacent(pos) if from_target[u] == dist - 1)
+        ring = next(islice(bfs_levels(graph, (target,)), dist - 1, None))
+        return min(graph.adjacency[pos].intersection(ring))
 
 
 class DfsRestartAgent(AgentStrategy):
@@ -218,8 +224,9 @@ class DfsRestartAgent(AgentStrategy):
         self.last_kind = None
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
+        adj = graph.adjacency
         while True:
-            fresh = [u for u in graph.adjacent(pos) if u not in self.seen]
+            fresh = adj[pos] - self.seen
             if fresh:
                 nxt = min(fresh)
                 self.stack.append(pos)
@@ -228,7 +235,7 @@ class DfsRestartAgent(AgentStrategy):
                 return nxt
             if self.stack:
                 parent = self.stack[-1]
-                if graph.has_edge(pos, parent):
+                if parent in adj[pos]:
                     self.stack.pop()
                     self.last_kind = "backtrack"
                     return parent
@@ -387,7 +394,7 @@ class KillerAdversary(Adversary):
         frm, to = view.last_move
         # The graph is unchanged since the agent decided (only we delete edges),
         # so the replica sees exactly what the agent saw.
-        predicted = self.shadow.decide(view.graph, set(view.visited), frm)
+        predicted = self.shadow.decide(view.graph, view.visited, frm)
         if predicted != to:
             raise GameError("killer adversary requires the restarting-DFS agent")
         if self.shadow.last_kind == "forward":

@@ -68,6 +68,16 @@ class Graph:
         self._check_node(v)
         return self._adj[v]
 
+    @property
+    def adjacency(self) -> list[set[int]]:
+        """Every neighbor set, indexed by node id.  Read-only.
+
+        The ids were validated when the graph was built, so inner loops that
+        index it by ids they already trust skip the per-call check of
+        :meth:`adjacent`; deletions show through the same sets.
+        """
+        return self._adj
+
     def edges(self) -> list[Edge]:
         out = [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
         out.sort()
@@ -144,6 +154,34 @@ def bfs_levels(graph: Graph, sources: Iterable[int]) -> Iterator[list[int]]:
         frontier = nxt
 
 
+def _hop_diameter(graph: Graph) -> int:
+    """Largest hop distance between two nodes of a connected graph.
+
+    One bit-parallel BFS from all sources at once (the packing of Akiba,
+    Iwata & Yoshida, SIGMOD 2013): ``reach[v]`` is the bitset of sources
+    within the current radius of ``v``, and each round ORs in the neighbors'
+    sets.  The round in which every set fills up is the diameter; a round
+    that changes nothing before then means the graph is disconnected.
+    """
+    n = graph.n
+    adj = graph.adjacency
+    full = (1 << n) - 1
+    reach = [1 << v for v in range(n)]
+    radius = 0
+    while reach.count(full) < n:
+        grown = []
+        for r, nbrs in zip(reach, adj):
+            if r != full:
+                for u in nbrs:
+                    r |= reach[u]
+            grown.append(r)
+        if grown == reach:
+            raise UnreachableError("graph is disconnected; hop metric is partial")
+        reach = grown
+        radius += 1
+    return radius
+
+
 def bfs_distances(graph: Graph, *sources: int) -> list[int]:
     """Hop distance from the nearest of ``sources``; unreachable nodes get the sentinel n+1."""
     dist = [graph.n + 1] * graph.n
@@ -181,6 +219,9 @@ def nearest_of(graph: Graph, source: int, targets: set[int]) -> tuple[int, list[
     return None
 
 
+_UNSCANNED = object()  # CostFunction._violation before the triangle scan
+
+
 class CostFunction:
     """Symmetric nonnegative integer costs on node pairs.
 
@@ -189,14 +230,14 @@ class CostFunction:
     and :meth:`cost` read either kind the same way.
     """
 
-    __slots__ = ("kind", "n", "graph", "_matrix", "_metric")
+    __slots__ = ("kind", "n", "graph", "_matrix", "_violation")
 
     def __init__(self, kind: str, n: int, graph: Graph | None, matrix: list[list[int]] | None):
         self.kind = kind
         self.n = n
         self.graph = graph
         self._matrix = matrix
-        self._metric: bool | None = True if kind == "hop" else None
+        self._violation: object = None if kind == "hop" else _UNSCANNED
 
     @classmethod
     def hop_metric(cls, graph: Graph) -> CostFunction:
@@ -250,15 +291,21 @@ class CostFunction:
     def as_matrix(self) -> list[list[int]]:
         return [list(self.row(u)) for u in range(self.n)]
 
+    def triangle_violation(self) -> tuple[int, int, int] | None:
+        """:func:`check_triangle`'s answer, scanned once and kept."""
+        if self._violation is _UNSCANNED:
+            self._violation = check_triangle(self)
+        return self._violation
+
     def is_metric(self) -> bool:
-        if self._metric is None:
-            self._metric = check_triangle(self) is None
-        return self._metric
+        return self.triangle_violation() is None
 
     def pair_cost_extremes(self) -> tuple[int, int]:
         """(min, max) cost over distinct pairs."""
         if self.n < 2:
             raise GraphError("no distinct pairs on a single node")
+        if self.kind == "hop":
+            return 1, _hop_diameter(self.graph)
         tails = (self.row(u)[u + 1:] for u in range(self.n - 1))
         extremes = [(min(t), max(t)) for t in tails]
         return min(lo for lo, _ in extremes), max(hi for _, hi in extremes)

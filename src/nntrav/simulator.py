@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import gt, lt
 
 from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
+
+
+# One trace line; the same text as json.dumps(obj, sort_keys=True) without
+# building an encoder per call.  The game traces use it too.
+encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
 class ScheduleError(GraphError):
@@ -136,23 +142,24 @@ def sim_step(state: SimState, graph: Graph, deletions: tuple[Edge, ...] = ()) ->
     round, whose deletions are skipped (the run is already over when they
     would land).
     """
+    adj = graph.adjacency
     n = graph.n
     cap = n + 1
     old = state.dist
     dist = list(old)
-    for v in range(n):
-        if state.vis[v]:
+    for v, seen in enumerate(state.vis):
+        if seen:
             best = old[v]
-            for u in graph.adjacent(v):
+            for u in adj[v]:
                 if old[u] < best:
                     best = old[u]
-            dist[v] = min(cap, 1 + best)
+            dist[v] = best + 1 if best < n else cap
     pos = state.pos
     vis = list(state.vis)
     exp = state.exp
     moved = False
     explored = None
-    neighbors = graph.adjacent(pos)
+    neighbors = adj[pos]
     if neighbors:
         target = min(neighbors, key=lambda u: (dist[u], u))
         if dist[target] < dist[pos]:
@@ -196,16 +203,15 @@ class SimTrace:
     def to_json_lines(self) -> list[str]:
         lines = []
         if self.pre_deleted:
-            lines.append(json.dumps(
-                {"iter": 0, "deleted": [list(e) for e in self.pre_deleted]}, sort_keys=True))
-        lines.extend(json.dumps(s.as_json_obj(), sort_keys=True) for s in self.steps)
+            lines.append(encode_line({"iter": 0, "deleted": [list(e) for e in self.pre_deleted]}))
+        lines.extend(encode_line(s.as_json_obj()) for s in self.steps)
         summary = {
             "outcome": self.outcome,
             "iterations": self.iterations,
             "explored": self.final.exp,
             "visited": sorted(self.visited()),
         }
-        lines.append(json.dumps(summary, sort_keys=True))
+        lines.append(encode_line(summary))
         return lines
 
 
@@ -259,29 +265,39 @@ def check_r1_r2(trace: SimTrace, graph: Graph) -> str | None:
     work = graph.copy()
     for u, v in trace.pre_deleted:
         work.delete_edge(u, v)
-    prev = [0] * trace.n
-    visited = [False] * trace.n
+    n = trace.n
+    prev: tuple[int, ...] = (0,) * n
+    visited = [False] * n
     visited[trace.start] = True
+    true = None  # the last BFS result; only an exploration or a deletion changes it
     for step in trace.steps:
         if step.explored is not None:
             visited[step.explored] = True
-        for v in range(trace.n):
-            if step.dist[v] < prev[v]:
-                return (
-                    f"R1 violated at iteration {step.iteration}: "
-                    f"dist[{v}] decreased {prev[v]} -> {step.dist[v]}"
-                )
-        # unreachable => n + 1, the label cap
-        true = bfs_distances(work, *(v for v in range(trace.n) if not visited[v]))
-        for v in range(trace.n):
-            if visited[v] and step.dist[v] > true[v]:
-                return (
-                    f"R2 violated at iteration {step.iteration}: "
-                    f"dist[{v}] = {step.dist[v]} exceeds true distance {true[v]}"
-                )
-        prev = list(step.dist)
-        for u, v in step.deleted:
-            work.delete_edge(u, v)
+            true = None
+        dist = step.dist
+        # a C-speed test first; the scans below name the first violation
+        if any(map(lt, dist, prev)):
+            for v in range(n):
+                if dist[v] < prev[v]:
+                    return (
+                        f"R1 violated at iteration {step.iteration}: "
+                        f"dist[{v}] decreased {prev[v]} -> {dist[v]}"
+                    )
+        if true is None:
+            # unreachable => n + 1, the label cap
+            true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
+        if any(map(gt, dist, true)):
+            for v in range(n):
+                if visited[v] and dist[v] > true[v]:
+                    return (
+                        f"R2 violated at iteration {step.iteration}: "
+                        f"dist[{v}] = {dist[v]} exceeds true distance {true[v]}"
+                    )
+        prev = dist
+        if step.deleted:
+            for u, v in step.deleted:
+                work.delete_edge(u, v)
+            true = None
     return None
 
 
@@ -292,7 +308,7 @@ def check_progress(trace: SimTrace) -> str | None:
     terminates the run, or strictly increases some node's label.  Returns None
     if every round complies, else a description of the first violation.
     """
-    prev = [0] * trace.n
+    prev: tuple[int, ...] = (0,) * trace.n
     last = trace.steps[-1] if trace.steps else None
     for step in trace.steps:
         if step.moved:
@@ -303,7 +319,7 @@ def check_progress(trace: SimTrace) -> str | None:
                 )
         else:
             terminated = step is last and trace.outcome == "terminated"
-            if not terminated and not any(step.dist[v] > prev[v] for v in range(trace.n)):
+            if not terminated and not any(map(gt, step.dist, prev)):
                 return f"no move and no dist increase at iteration {step.iteration}"
-        prev = list(step.dist)
+        prev = step.dist
     return None

@@ -118,6 +118,21 @@ def test_traverse_four_point_violator(tmp_path, capsys):
     assert rep["aspect_bound"] == 17  # still computed; the flag says it is void
 
 
+def test_traverse_scans_for_a_triangle_violation_once(tmp_path, capsys, monkeypatch):
+    import nntrav.graph as graph
+
+    scans = []
+    scan = graph.check_triangle
+    monkeypatch.setattr(graph, "check_triangle", lambda c: scans.append(c) or scan(c))
+    inst = tmp_path / "fig.json"
+    inst.write_text(json.dumps(FIG1))
+    rc, out, _ = run(capsys, "traverse", "--input", str(inst), "--start", "3")
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["metric"] is False and rep["triangle_violation"] == [0, 2, 1]
+    assert len(scans) == 1
+
+
 def test_traverse_scripted_accepts_sidecar_files(tmp_path, capsys):
     inst = tmp_path / "lr.json"
     run(capsys, "generate", "lr-pow2", "--m", "3", "--k", "1", "--output", str(inst))
@@ -257,6 +272,37 @@ def test_simulate_rejects_matrix_instances(tmp_path, capsys):
     inst.write_text(json.dumps(FIG1))
     rc, _, err = run(capsys, "simulate", "--input", str(inst))
     assert rc == EXIT_VALIDATION and "plain graphs" in err
+
+
+def test_simulate_checks_run_only_for_the_summary(tmp_path, capsys, monkeypatch):
+    import nntrav.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "check_r1_r2", lambda trace, graph: calls.append("r1_r2"))
+    monkeypatch.setattr(cli, "check_progress", lambda trace: calls.append("progress"))
+    inst = tmp_path / "p.json"
+    run(capsys, "generate", "path", "--n", "5", "--output", str(inst))
+    rc, out, _ = run(capsys, "simulate", "--input", str(inst))
+    assert rc == 0 and "r1_r2" not in out
+    assert calls == []
+    rc, out, _ = run(capsys, "simulate", "--input", str(inst),
+                     "--output", str(tmp_path / "t.jsonl"))
+    assert rc == 0 and json.loads(out)["r1_r2"] == "ok"
+    assert calls == ["r1_r2", "progress"]
+
+
+def test_only_traverse_reads_a_neighboring_sidecar(tmp_path):
+    inst = tmp_path / "pp.json"
+    inst.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    (tmp_path / "pp.sidecar.json").write_text("{broken")
+    env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
+    codes = {}
+    for cmd in ("simulate", "tree", "traverse"):
+        proc = subprocess.run([sys.executable, "-m", "nntrav.cli", cmd, "--input", str(inst)],
+                              capture_output=True, text=True, env=env)
+        assert "Traceback" not in proc.stderr
+        codes[cmd] = proc.returncode
+    assert codes == {"simulate": 0, "tree": 0, "traverse": EXIT_IO}
 
 
 def test_duel_clique_summary(tmp_path, capsys):

@@ -81,6 +81,21 @@ def test_illegal_move_is_rejected():
         play_game(Leaper(), NullAdversary(), path_graph(4), 0)
 
 
+def test_moves_must_be_int_node_ids():
+    class Sloppy(AgentStrategy):
+        name = "sloppy"
+
+        def __init__(self, move):
+            self.move = move
+
+        def decide(self, graph, visited, pos):
+            return self.move
+
+    for move in (True, 1.0, -1, 4):  # True == 1.0 == 1, a neighbor of 0
+        with pytest.raises(GameError):
+            play_game(Sloppy(move), NullAdversary(), path_graph(4), 0)
+
+
 def test_budget_is_an_outcome_not_an_error():
     trace = play_game(NnAgent(), NullAdversary(), path_graph(30), 0, max_steps=2)
     assert trace.outcome == "budget-exhausted"

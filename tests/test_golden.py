@@ -50,8 +50,11 @@ CASES: dict[str, list[str]] = {
                                "--seed", "0"],
     "traverse-disconnected": ["traverse", "--input", "disconnected.json", "--seed", "0"],
     "traverse-zero-pair": ["traverse", "--input", "zero-pair.json", "--seed", "0"],
+    "traverse-non-metric": ["traverse", "--input", "four-point.json", "--start", "3",
+                            "--seed", "0"],
     "simulate-schedule": ["simulate", "--input", "ring.json", "--schedule", "sched.json",
                           "--output", TRACE],
+    "simulate-no-output": ["simulate", "--input", "ring.json", "--schedule", "sched.json"],
     "duel-clique": ["duel", "nn", "clique", "--n", "6", "--output", TRACE],
     "duel-killer": ["duel", "dfs-restart", "killer", "--n", "12", "--output", TRACE],
     "duel-killer-input": ["duel", "dfs-restart", "killer", "--input", "killer.json",
