@@ -8,6 +8,7 @@ default 0); identical inputs and seed give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -91,8 +92,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dump_json(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_json(path: str | None, obj: object) -> None:
+    """``obj`` as sorted, 2-space indented JSON plus a newline, to ``path`` or
+    stdout, written piece by piece rather than built as one string."""
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_json(path: str) -> object:
@@ -252,11 +257,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     doc["family"] = family
     doc["params"] = params
     if args.output:
-        _write_text(args.output, _dump_json(doc))
-        _write_text(str(_sidecar_path(args.output)), _dump_json(sidecar))
+        _write_json(args.output, doc)
+        _write_json(str(_sidecar_path(args.output)), sidecar)
     else:
         doc["sidecar"] = sidecar
-        _write_text(None, _dump_json(doc))
+        _write_json(None, doc)
     return EXIT_OK
 
 
@@ -327,7 +332,7 @@ def cmd_traverse(args: argparse.Namespace) -> int:
             abound = aspect_ratio_bound(opt, lo, hi)
             report["aspect_bound"] = abound
             report["within_aspect_bound"] = total <= abound
-    _write_text(args.output, _dump_json(report))
+    _write_json(args.output, report)
     return EXIT_OK
 
 
@@ -340,7 +345,7 @@ def _write_trace(trace, summary: dict | None, output: str | None) -> int:
     lines = "\n".join(trace.to_json_lines()) + "\n"
     if output:
         _write_text(output, lines)
-        _write_text(None, _dump_json(summary))
+        _write_json(None, summary)
     else:
         _write_text(None, lines)
     return EXIT_BUDGET if trace.outcome == "budget-exhausted" else EXIT_OK
@@ -469,10 +474,10 @@ def cmd_tree(args: argparse.Namespace) -> int:
         "bound_ok": None,
     }
     if metric:
-        check = nnt_bound_check(cost, ranks)
+        check = nnt_bound_check(cost.n, tree.total, mst)
         report["budget"] = check.budget
         report["bound_ok"] = check.ok
-    _write_text(args.output, _dump_json(report))
+    _write_json(args.output, report)
     return EXIT_OK
 
 

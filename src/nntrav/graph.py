@@ -130,18 +130,24 @@ def bfs_levels(graph: Graph, sources: Iterable[int]) -> Iterator[list[int]]:
     """Level-synchronous BFS: yields the nodes at hop distance 0, 1, 2, ... from
     the nearest source, one list per level; level 0 is the distinct sources.
 
-    The sources are validated once; the adjacency was validated when the graph
-    was built, so the inner loop reads it directly.  Each level is computed
-    only when asked for, so a consumer that stops early pays only for the ball
-    it looked at.
+    The sources are validated once, several of them in one bulk test; the
+    adjacency was validated when the graph was built, so the inner loop reads
+    it directly.
+    Each level is computed only when asked for, so a consumer that stops
+    early pays only for the ball it looked at.
     """
-    seen: set[int] = set()
-    frontier: list[int] = []
-    for s in sources:
-        graph._check_node(s)
-        if s not in seen:
-            seen.add(s)
-            frontier.append(s)
+    frontier = [*sources]
+    if len(frontier) == 1:  # most calls: one direct check beats the bulk test
+        graph._check_node(frontier[0])
+    elif frontier and not (
+        {int}.issuperset(map(type, frontier)) and 0 <= min(frontier) and max(frontier) < graph.n
+    ):
+        for s in frontier:
+            graph._check_node(s)  # names the first bad id; int subclasses pass
+    # de-duplicate only after the type check: 1.0 == 1 would hide a float
+    seen = set(frontier)
+    if len(seen) < len(frontier):
+        frontier = [*dict.fromkeys(frontier)]
     adj = graph._adj
     while frontier:
         yield frontier
@@ -311,20 +317,57 @@ class CostFunction:
         return min(lo for lo, _ in extremes), max(hi for _, hi in extremes)
 
 
+def _packed(rows: Sequence[Sequence[int]], top: int) -> tuple[int, int, int, list[int]]:
+    """Each row as one int with a fixed-width field per entry (SWAR).
+
+    Returns ``(width, ones, guard, packed)``: field ``v`` of ``packed[u]`` is
+    ``rows[u][v]``; ``ones`` holds 1 in every field and ``guard`` the top bit
+    of every field.  Any field value up to ``top`` stays below the guard bit,
+    so one big-int add, subtract and AND compares whole rows at once:
+    ``((a | guard) - b) & guard`` keeps the guard bit of each field where
+    a >= b, as long as no field of ``a`` or ``b`` exceeds ``top``.
+    """
+    width = top.bit_length() + 1
+    ones = 0
+    for _ in rows:
+        ones = (ones << width) | 1
+    packed = []
+    for row in rows:
+        p = 0
+        for x in reversed(row):
+            p = (p << width) | x
+        packed.append(p)
+    return width, ones, ones << (width - 1), packed
+
+
+def _field_min(a: int, b: int, guard: int, width: int) -> int:
+    """Field-wise min of two packed ints whose fields are below the guard bit."""
+    ge = ((a | guard) - b) & guard  # guard bit set where a >= b
+    take_b = (ge << 1) - (ge >> (width - 1))  # whole field set where a >= b
+    return a ^ ((a ^ b) & take_b)
+
+
 def check_triangle(c: CostFunction) -> tuple[int, int, int] | None:
     """None when the triangle inequality holds everywhere, else the
-    lexicographically least ordered triple (u, w, v) with c(u,v) > c(u,w) + c(w,v)."""
-    mat = c.as_matrix()
+    lexicographically least ordered triple (u, w, v) with c(u,v) > c(u,w) + c(w,v).
+
+    For each ordered pair (u, w) one packed test checks c(u,v) <= c(u,w) +
+    c(w,v) for every v at once; only a pair that fails it is scanned entry by
+    entry, and all earlier pairs passed, so the first v found is the least triple.
+    """
     n = c.n
-    for u in range(n):
-        for w in range(n):
-            if w == u:
+    rows = [c.row(u) for u in range(n)]
+    _, ones, guard, packed = _packed(rows, 2 * max(map(max, rows)))
+    for u, row_u in enumerate(rows):
+        lack_u = guard - packed[u]  # field v: guard - c(u,v), still positive
+        for w, uw in enumerate(row_u):
+            if (packed[w] + lack_u + uw * ones) & guard == guard:
                 continue
-            uw = mat[u][w]
+            row_w = rows[w]
             for v in range(n):
                 if v == u or v == w:
                     continue
-                if mat[u][v] > uw + mat[w][v]:
+                if row_u[v] > uw + row_w[v]:
                     return (u, w, v)
     return None
 
@@ -356,16 +399,16 @@ def random_metric_cost(n: int, rng, max_cost: int = 9) -> CostFunction:
     for u in range(n):
         for v in range(u + 1, n):
             w[u][v] = w[v][u] = rng.randint(1, max_cost)
-    for k in range(n):
-        wk = w[k]
-        for i in range(n):
-            wik = w[i][k]
-            wi = w[i]
-            for j in range(n):
-                t = wik + wk[j]
-                if t < wi[j]:
-                    wi[j] = t
-    return CostFunction.from_matrix(w)
+    # Floyd-Warshall on packed rows: row i becomes the field-wise min of itself
+    # and c(i,k) + row k; two drawn costs sum to at most 2 * max_cost
+    width, ones, guard, rows = _packed(w, 2 * max_cost)
+    field = (1 << width) - 1
+    for k, row_k in enumerate(rows):
+        shift = k * width
+        for i, row_i in enumerate(rows):
+            rows[i] = _field_min(row_i, ((row_i >> shift) & field) * ones + row_k, guard, width)
+    closed = [[(p >> (v * width)) & field for v in range(n)] for p in rows]
+    return CostFunction.from_matrix(closed)
 
 
 def unbounded_ratio_instance(x: int = 10) -> CostFunction:

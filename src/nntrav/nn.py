@@ -11,6 +11,8 @@ from .graph import (
     CostFunction,
     GraphError,
     UnreachableError,
+    _field_min,
+    _packed,
     bfs_levels,
     nearest_of,
     validate_traversal,
@@ -218,8 +220,11 @@ def partition_route(order: Sequence[int], j: int, c: CostFunction) -> RouteParti
 def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     """Exact minimum-cost traversal over all start nodes, for n <= 13.
 
-    Dynamic program over (visited-subset, last-node) states; deterministic
-    result under strict-improvement updates scanned in id order.
+    Held-Karp over (visited-subset, last-node) states on packed rows:
+    ``dp[mask]`` holds one field per last node.  For each mask, the field-wise
+    min over ``last`` in the mask of ``dp[mask][last] + row[last]`` gives, in
+    field x, the cheapest route over the mask that ends by stepping to x.  The
+    backtrack takes the lowest-id predecessor attaining each value.
     """
     n = c.n
     if n > OPT_ORACLE_LIMIT:
@@ -227,39 +232,38 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     if n == 1:
         return 0, [0]
     mat = c.as_matrix()
-    size = 1 << n
-    inf = float("inf")
-    dp = [[inf] * n for _ in range(size)]
-    parent: list[list[int]] = [[-1] * n for _ in range(size)]
-    for v in range(n):
-        dp[1 << v][v] = 0
-    for mask in range(size):
+    # a field holds at most n - 1 steps of at most the max entry each
+    width, ones, guard, rows = _packed(mat, n * max(map(max, mat)))
+    field = (1 << width) - 1
+    shifts = [v * width for v in range(n)]
+    full = (1 << n) - 1
+    dp = [0] * (full + 1)  # dp[1 << v] is read only in field v: v alone costs 0
+    for mask in range(1, full):
         row = dp[mask]
+        best = None
         for last in range(n):
-            d = row[last]
-            if d == inf:
-                continue
-            cl = mat[last]
-            rest = ~mask
-            for nxt in range(n):
-                if (rest >> nxt) & 1:
-                    m2 = mask | (1 << nxt)
-                    nd = d + cl[nxt]
-                    if nd < dp[m2][nxt]:
-                        dp[m2][nxt] = nd
-                        parent[m2][nxt] = last
-    full = size - 1
-    best_last = min(range(n), key=lambda v: (dp[full][v], v))
-    best = dp[full][best_last]
-    order = []
-    mask, last = full, best_last
-    while last != -1:
-        order.append(last)
-        prev = parent[mask][last]
+            if mask >> last & 1:
+                cand = ((row >> shifts[last]) & field) * ones + rows[last]
+                best = cand if best is None else _field_min(best, cand, guard, width)
+        for nxt in range(n):
+            if not mask >> nxt & 1:
+                dp[mask | 1 << nxt] |= best & (field << shifts[nxt])
+    ends = [(dp[full] >> s) & field for s in shifts]
+    total = min(ends)
+    last = ends.index(total)
+    order = [last]
+    mask, value = full, total
+    while mask != 1 << last:
         mask ^= 1 << last
-        last = prev
+        row, step_to = dp[mask], last
+        last = next(
+            p for p in range(n)
+            if mask >> p & 1 and ((row >> shifts[p]) & field) + mat[p][step_to] == value
+        )
+        value -= mat[last][step_to]
+        order.append(last)
     order.reverse()
-    return int(best), order
+    return total, order
 
 
 # --- bounds -----------------------------------------------------------------

@@ -96,11 +96,11 @@ class BoundReport:
     ok: bool
 
 
-def nnt_bound_check(c: CostFunction, ranks) -> BoundReport:
-    """Check rank-greedy tree cost <= ceil(2·(1 + ln n)·MST); metric inputs only."""
-    if not c.is_metric():
-        raise GraphError("the tree bound is only claimed for metric costs")
-    tree = nn_tree(c, ranks)
-    mst, _ = mst_cost(c)
-    budget = math.ceil(2 * (1 + math.log(c.n)) * mst)
-    return BoundReport(tree.total, mst, budget, tree.total <= budget)
+def nnt_bound_check(n: int, tree_total: int, mst: int) -> BoundReport:
+    """Check rank-greedy tree cost <= ceil(2·(1 + ln n)·MST), given the tree's
+    total (:func:`nn_tree`) and the MST cost (:func:`mst_cost`).  The bound is
+    claimed only for metric costs; the caller checks that."""
+    if n < 1:
+        raise GraphError(f"bound needs n >= 1, got {n}")
+    budget = math.ceil(2 * (1 + math.log(n)) * mst)
+    return BoundReport(tree_total, mst, budget, tree_total <= budget)

@@ -213,9 +213,10 @@ def test_criterion_10_rank_tree_bound():
             n = rng.randint(2, 12)
             c = random_metric_cost(n, rng)
             ranks = shuffled_ranks(n, rng)
-            report = nnt_bound_check(c, ranks)
-            assert report.ok
+            assert c.is_metric()
             tree = nn_tree(c, ranks)
+            report = nnt_bound_check(n, tree.total, mst_cost(c)[0])
+            assert report.ok
             assert len(tree.edges) == n - 1
             seen = {tree.root}
             for v, w in sorted(tree.attach.items(), key=lambda it: -ranks[it[0]]):

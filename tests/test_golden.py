@@ -38,6 +38,8 @@ CASES: dict[str, list[str]] = {
     "generate-complete": ["generate", "complete", "--n", "4", "--seed", "0"],
     "generate-path": ["generate", "path", "--n", "4", "--seed", "0"],
     "generate-random-metric": ["generate", "random-metric", "--n", "6", "--seed", "3"],
+    "generate-random-metric-wide": ["generate", "random-metric", "--n", "9", "--max-cost",
+                                    "1000", "--seed", "4"],
     "generate-dot": ["generate", "lr-pow2", "--m", "2", "--k", "1", "--format", "dot",
                      "--seed", "0"],
     "traverse-lowest-id": ["traverse", "--input", "ring.json", "--seed", "0"],
@@ -66,6 +68,9 @@ CASES: dict[str, list[str]] = {
                       "--output", TRACE],
     "tree-identity": ["tree", "--input", "metric.json", "--ranks", "identity", "--seed", "0"],
     "tree-shuffle": ["tree", "--input", "ring.json", "--ranks", "shuffle", "--seed", "7"],
+    "tree-non-metric": ["tree", "--input", "four-point.json", "--seed", "0"],
+    "tree-shuffle-metric": ["tree", "--input", "metric.json", "--ranks", "shuffle",
+                            "--seed", "7"],
     "bench": ["bench", "--suite", "suite.json", "--seed", "5"],
 }
 

@@ -81,6 +81,31 @@ def test_bfs_distances_sentinel_for_unreachable():
     assert hop_distance(g, 0, 1) == 1
 
 
+@pytest.mark.parametrize("sources, bad", [
+    ((4,), 4),
+    ((True,), True),
+    ((0, 4), 4),
+    ((-1, 0), -1),
+    ((2, True), True),
+    ((1, 1.0), 1.0),  # equal to a valid id, so only a type check catches it
+    ((0, [1]), [1]),
+    ((3, 2, 7, -5), 7),
+    ((0, "1"), "1"),
+    ((5, 1.5), 5),  # a bad type later does not hide an earlier bad range
+])
+def test_bfs_sources_name_the_first_bad_id(sources, bad):
+    g = path_graph(4)
+    with pytest.raises(GraphError) as err:
+        bfs_distances(g, *sources)
+    assert str(err.value) == f"invalid node id {bad!r} for a graph on 4 nodes"
+
+
+def test_bfs_sources_deduplicate():
+    g = path_graph(4)
+    assert bfs_distances(g, 3, 0, 3, 0) == [0, 1, 1, 0]
+    assert bfs_distances(g) == [5, 5, 5, 5]
+
+
 def test_nearest_of_returns_all_tied_targets_sorted():
     g = path_graph(5)
     hit = nearest_of(g, 2, {0, 4, 1})

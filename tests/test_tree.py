@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -6,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nntrav import cli
 from nntrav import (
     CostFunction,
     Graph,
     GraphError,
+    complete_graph,
     identity_ranks,
+    instance_to_json_obj,
     metric_closure,
     mst_cost,
     nn_tree,
@@ -45,8 +49,9 @@ def test_star_chain_example():
     mst, edges = mst_cost(STAR4)
     assert mst == 3
     assert edges == [(0, 1), (0, 2), (0, 3)]
-    report = nnt_bound_check(STAR4, identity_ranks(4))
+    report = nnt_bound_check(4, tree.total, mst)
     assert (report.tree_cost, report.mst, report.budget, report.ok) == (5, 3, 15, True)
+    assert not nnt_bound_check(4, 16, 3).ok  # one past the budget
 
 
 def test_path_identity_ranks_recover_the_path():
@@ -98,7 +103,8 @@ def test_tree_structure_and_greedy_choice(n, seed):
 def test_mst_is_a_lower_bound_and_budget_holds(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
-    report = nnt_bound_check(c, shuffled_ranks(n, rng))
+    assert c.is_metric()
+    report = nnt_bound_check(n, nn_tree(c, shuffled_ranks(n, rng)).total, mst_cost(c)[0])
     assert report.mst <= report.tree_cost <= report.budget
     assert report.budget == math.ceil(2 * (1 + math.log(n)) * report.mst)
     assert report.ok
@@ -133,11 +139,19 @@ def test_mst_matches_exhaustive_minimum():
             assert mst_cost(c)[0] == best
 
 
-def test_bound_check_rejects_non_metric_costs():
-    with pytest.raises(GraphError):
-        nnt_bound_check(unbounded_ratio_instance(10), identity_ranks(4))
+def test_bound_check_rejects_non_metric_costs(tmp_path, monkeypatch, capsys):
+    """`tree` runs the bound check only on metric costs: on a non-metric
+    matrix it never calls it and reports no budget."""
+    c = unbounded_ratio_instance(10)
+    assert c.triangle_violation() == (0, 2, 1)
+    inst = tmp_path / "four.json"
+    inst.write_text(json.dumps(instance_to_json_obj(complete_graph(4), c)))
+    monkeypatch.setattr(cli, "nnt_bound_check", None)  # calling it would raise
+    assert cli.main(["tree", "--input", str(inst)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["metric"] is False and rep["budget"] is None and rep["bound_ok"] is None
     # the tree itself is still constructible without the bound claim
-    tree = nn_tree(unbounded_ratio_instance(10), identity_ranks(4))
+    tree = nn_tree(c, identity_ranks(4))
     _assert_spanning_tree(tree, 4)
 
 
@@ -146,5 +160,7 @@ def test_single_node_degenerates_cleanly():
     tree = nn_tree(c, [0])
     assert tree.edges == [] and tree.total == 0 and tree.root == 0
     assert mst_cost(c) == (0, [])
-    report = nnt_bound_check(c, [0])
+    report = nnt_bound_check(1, tree.total, 0)
     assert report.ok and report.budget == 0
+    with pytest.raises(GraphError):
+        nnt_bound_check(0, 0, 0)
