@@ -1,97 +1,1 @@
 """Greedy nearest-neighbor traversal: worst-case families, failure simulation, games, trees."""
-
-from .graph import (
-    CostFunction,
-    Edge,
-    Graph,
-    GraphError,
-    UnreachableError,
-    bfs_distances,
-    check_triangle,
-    complete_graph,
-    cost_of,
-    graph_to_dot,
-    hop_distance,
-    instance_from_json_obj,
-    instance_to_json_obj,
-    metric_closure,
-    nearest_of,
-    normalize_edge,
-    path_graph,
-    random_metric_cost,
-    unbounded_ratio_instance,
-    validate_traversal,
-)
-from .nn import (
-    LambdaProfile,
-    LowestId,
-    OPT_ORACLE_LIMIT,
-    RoutePartition,
-    Scripted,
-    SeededRandom,
-    TieBreak,
-    aspect_ratio_bound,
-    lambda_profile,
-    nn_traversal,
-    nn_upper_bound,
-    opt_traversal,
-    partition_route,
-    validate_nn_traversal,
-)
-from .layered_ring import (
-    DfsTrap,
-    LayeredRing,
-    PaddedRing,
-    build_dfs_killer,
-    build_lr,
-    canonical_nn_route,
-    hamiltonian_route,
-    layers_general,
-    leg_counts,
-    pad_to_n,
-    vertex_count_formula,
-)
-from .simulator import (
-    FailureSchedule,
-    ScheduleError,
-    SimState,
-    SimStep,
-    SimTrace,
-    check_progress,
-    check_r1_r2,
-    has_terminated,
-    iteration_budget,
-    run_sim,
-    sim_step,
-)
-from .games import (
-    AgentStrategy,
-    Adversary,
-    CliqueAdversary,
-    DfsRestartAgent,
-    GameError,
-    GameStep,
-    GameTrace,
-    GameView,
-    KillerAdversary,
-    NnAgent,
-    NullAdversary,
-    ScheduleAdversary,
-    clique_stage_lengths,
-    game_budget,
-    growth_fit,
-    killer_script,
-    play_game,
-)
-from .tree import (
-    BoundReport,
-    RankedTree,
-    identity_ranks,
-    mst_cost,
-    nn_tree,
-    nnt_bound_check,
-    shuffled_ranks,
-    validate_ranks,
-)
-
-__version__ = "0.1.0"

@@ -147,9 +147,10 @@ def _parse_ties(spec: str, seed: int):
         obj = _read_json(path)
         if isinstance(obj, dict):
             obj = obj.get("preference", obj.get("scripted_ties"))
-        if not isinstance(obj, list):
+        # bools and floats would pass as ids: True == 1 and 1.0 == 1
+        if not isinstance(obj, list) or not {int}.issuperset(map(type, obj)):
             raise GraphError(
-                f"scripted ties file {path!r} must hold a list "
+                f"scripted ties file {path!r} must hold a list of node ids "
                 '(or {"preference": [...]} / {"scripted_ties": [...]})')
         return Scripted(obj)
     raise GraphError(f"unknown tie policy {spec!r}")
@@ -269,9 +270,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _certified_opt(graph: Graph, cost: CostFunction, sidecar: dict) -> int | None:
-    """A verified adjacency-only full route pins the optimal cost at n − 1."""
-    route = sidecar.get("routes", {}).get("hamiltonian")
-    if cost.kind != "hop" or not isinstance(route, list):
+    """A verified adjacency-only full route pins the optimal cost at n − 1.
+
+    Only hop metrics qualify: there every edge costs 1 and no step costs less.
+    A certificate of any other shape is ignored, never an error.
+    """
+    routes = sidecar.get("routes")
+    route = routes.get("hamiltonian") if isinstance(routes, dict) else None
+    if cost.kind != "hop" or not isinstance(route, list) or not {int}.issuperset(map(type, route)):
         return None
     try:
         validate_traversal(route, graph.n)
@@ -288,8 +294,8 @@ def cmd_traverse(args: argparse.Namespace) -> int:
     sidecar = _sidecar(args.input, obj)
     ties = _parse_ties(args.ties, seed)
     order = nn_traversal(cost, args.start, ties)
-    total = cost_of(order, cost)
     profile = lambda_profile(order, cost)
+    total = profile.total()
     violation = cost.triangle_violation()
     metric = violation is None
 

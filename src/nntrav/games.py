@@ -210,14 +210,12 @@ class DfsRestartAgent(AgentStrategy):
     name = "dfs-restart"
 
     def __init__(self) -> None:
-        self.origin = 0
         self.stack: list[int] = []
         self.seen: set[int] = set()
         self.attempt = 1
         self.last_kind: str | None = None
 
     def reset(self, graph: Graph, start: int) -> None:
-        self.origin = start
         self.stack = []
         self.seen = {start}
         self.attempt = 1
@@ -242,7 +240,6 @@ class DfsRestartAgent(AgentStrategy):
                 # Stack edge gone: forget everything, search anew from here.
                 self.stack = []
                 self.seen = {pos}
-                self.origin = pos
                 self.attempt += 1
                 self.last_kind = "restart"
                 continue

@@ -106,9 +106,6 @@ class Graph:
             seen.update(level)
         return seen
 
-    def is_connected(self) -> bool:
-        return len(self.component(0)) == self.n
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -372,11 +369,6 @@ def check_triangle(c: CostFunction) -> tuple[int, int, int] | None:
     return None
 
 
-def metric_closure(graph: Graph) -> CostFunction:
-    """All-pairs hop distances materialized as an explicit matrix."""
-    return CostFunction.from_matrix(CostFunction.hop_metric(graph).as_matrix())
-
-
 def validate_traversal(order: Sequence[int], n: int) -> None:
     if len(order) != n or sorted(order) != list(range(n)):
         raise GraphError(f"not a permutation of 0..{n - 1}: {list(order)!r}")
@@ -409,23 +401,6 @@ def random_metric_cost(n: int, rng, max_cost: int = 9) -> CostFunction:
             rows[i] = _field_min(row_i, ((row_i >> shift) & field) * ones + row_k, guard, width)
     closed = [[(p >> (v * width)) & field for v in range(n)] for p in rows]
     return CostFunction.from_matrix(closed)
-
-
-def unbounded_ratio_instance(x: int = 10) -> CostFunction:
-    """Four-point matrix whose greedy traversal costs x+3 while a cost-5 tour exists.
-
-    The pair (0,1) costs ``x``; raising ``x`` makes the greedy route from node 3
-    arbitrarily worse than optimal, and for x > 4 the triangle inequality fails.
-    """
-    if x < 0:
-        raise GraphError("x must be nonnegative")
-    m = [
-        [0, x, 2, 2],
-        [x, 0, 2, 2],
-        [2, 2, 0, 1],
-        [2, 2, 1, 0],
-    ]
-    return CostFunction.from_matrix(m)
 
 
 # --- serialization ---------------------------------------------------------

@@ -123,28 +123,6 @@ def build_lr(nu: int, k: int) -> LayeredRing:
     return LayeredRing(nu, k, _ring_graph(nu, positions), positions, layer_sets, layer_ids)
 
 
-def leg_counts(m: int, k: int) -> dict[tuple[int, int], int]:
-    """Count of gaps of length 2**t between consecutive layer positions.
-
-    Key (i, t) maps to the number of length-2**t gaps in layer i of the
-    ring-size-2**m family, computed by the refinement recurrence.
-    """
-    if m < 1:
-        raise GraphError(f"need m >= 1, got {m}")
-    if k < 1:
-        raise GraphError(f"need k >= 1, got {k}")
-    counts: dict[tuple[int, int], int] = {}
-    for t in range(m):
-        counts[(1, t)] = 2 if t == 0 else 1
-    for i in range(2, k + 1):
-        for t in range(1, m):
-            counts[(i, t)] = sum(counts[(i - 1, u)] for u in range(t + 1, m))
-        counts[(i, 0)] = counts[(i - 1, 0)] + 2 * sum(
-            counts[(i - 1, u)] for u in range(1, m)
-        )
-    return counts
-
-
 def vertex_count_formula(m: int, k: int) -> int:
     """Closed-form node count of the ring-size-2**m family with k layers."""
     if m < 1:

@@ -13,7 +13,6 @@ from .graph import (
     UnreachableError,
     _field_min,
     _packed,
-    bfs_levels,
     nearest_of,
     validate_traversal,
 )
@@ -40,7 +39,6 @@ class SeededRandom(TieBreak):
     """Uniform choice among tied candidates, reproducible from the seed."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def choose(self, tied: list[int]) -> int:
@@ -111,40 +109,7 @@ def nn_traversal(c: CostFunction, start: int, tie_break: TieBreak | None = None)
     return order
 
 
-def validate_nn_traversal(c: CostFunction, order: Sequence[int]) -> int | None:
-    """None when every step goes to a nearest unvisited node; else the first bad index.
-
-    The returned index is the position in ``order`` of the first node that was
-    not a valid greedy choice.  Tie-breaking is irrelevant: any nearest node is
-    accepted.
-    """
-    validate_traversal(order, c.n)
-    if c.n == 1:
-        return None
-    unvisited = set(range(c.n))
-    unvisited.discard(order[0])
-    for i in range(1, c.n):
-        prev, cur = order[i - 1], order[i]
-        if c.kind == "matrix":
-            row = c.row(prev)
-            step = row[cur]
-            if any(row[v] < step for v in unvisited):
-                return i
-        else:
-            # hop metric: expand BFS levels from the previous node until the
-            # chosen node appears; an unvisited node in an earlier level wins.
-            for level in bfs_levels(c.graph, (prev,)):
-                if cur in level:
-                    break
-                if not unvisited.isdisjoint(level):
-                    return i
-            else:
-                raise UnreachableError(f"step {i}: node {cur} unreachable from {prev}")
-        unvisited.discard(cur)
-    return None
-
-
-# --- step-cost profile and route partitioning -------------------------------
+# --- step-cost profile ------------------------------------------------------
 
 
 @dataclass
@@ -153,17 +118,9 @@ class LambdaProfile:
 
     counts: dict[int, int] = field(default_factory=dict)
 
-    def at(self, j: int) -> int:
-        if j < 1:
-            raise GraphError(f"profile is indexed from 1, got {j}")
-        return self.counts.get(j, 0)
-
     def total(self) -> int:
         """Equals the traversal cost: summing level counts integrates step costs."""
         return sum(self.counts.values())
-
-    def max_level(self) -> int:
-        return max(self.counts, default=0)
 
     def as_json_obj(self) -> dict[str, int]:
         return {str(j): self.counts[j] for j in sorted(self.counts)}
@@ -177,41 +134,6 @@ def lambda_profile(order: Sequence[int], c: CostFunction) -> LambdaProfile:
         for j in range(1, s + 1):
             counts[j] = counts.get(j, 0) + 1
     return LambdaProfile(counts)
-
-
-@dataclass
-class RoutePartition:
-    """Consecutive blocks of a route; block boundaries are start indices plus n."""
-
-    parts: list[list[int]]
-    cuts: list[int]
-
-
-def partition_route(order: Sequence[int], j: int, c: CostFunction) -> RoutePartition:
-    """Split a route into consecutive blocks accumulating < j cost inside each.
-
-    Walking from a block's first node, costs accumulate until a step pushes the
-    running total to >= j; the block ends just before that step completes, so
-    every within-block prefix sums to < j.  Under the triangle inequality any
-    two nodes of one block then lie at cost < j from each other, and the block
-    count k satisfies (k-1)*j <= total route cost.
-    """
-    validate_traversal(order, c.n)
-    if j < 1:
-        raise GraphError(f"threshold must be >= 1, got {j}")
-    if not c.is_metric():
-        raise GraphError("route partitioning needs the triangle inequality")
-    n = len(order)
-    cuts = [0]
-    acc = 0
-    for t in range(n - 1):
-        acc += c.cost(order[t], order[t + 1])
-        if acc >= j:
-            cuts.append(t + 1)
-            acc = 0
-    cuts.append(n)
-    parts = [list(order[a:b]) for a, b in zip(cuts, cuts[1:])]
-    return RoutePartition(parts, cuts)
 
 
 # --- exact optimum (small instances) ----------------------------------------

@@ -195,11 +195,6 @@ class SimTrace:
     def visited(self) -> set[int]:
         return {v for v in range(self.n) if self.final.vis[v]}
 
-    def explored_order(self) -> list[int]:
-        order = [self.start]
-        order.extend(s.explored for s in self.steps if s.explored is not None)
-        return order
-
     def to_json_lines(self) -> list[str]:
         lines = []
         if self.pre_deleted:

@@ -1,8 +1,18 @@
-"""Shared builders for the test suite: random connected graphs and failure schedules."""
+"""Shared builders and oracles for the test suite: random connected graphs and
+failure schedules, the small worked instances, and a greedy-validity checker."""
 
 import random
+from typing import Sequence
 
-from nntrav import FailureSchedule, Graph
+from nntrav.graph import (
+    CostFunction,
+    Graph,
+    GraphError,
+    UnreachableError,
+    bfs_levels,
+    validate_traversal,
+)
+from nntrav.simulator import FailureSchedule, SimTrace
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int | None = None) -> Graph:
@@ -36,3 +46,63 @@ def random_schedule(rng: random.Random, graph: Graph, rounds: int | None = None)
     for e in cut:
         plan.setdefault(rng.randint(0, rounds), []).append(e)
     return FailureSchedule({k: tuple(v) for k, v in plan.items()})
+
+
+def metric_closure(graph: Graph) -> CostFunction:
+    """All-pairs hop distances materialized as an explicit matrix."""
+    return CostFunction.from_matrix(CostFunction.hop_metric(graph).as_matrix())
+
+
+def unbounded_ratio_instance(x: int = 10) -> CostFunction:
+    """Four-point matrix whose greedy traversal costs x+3 while a cost-5 tour exists.
+
+    The pair (0,1) costs ``x``; raising ``x`` makes the greedy route from node 3
+    arbitrarily worse than optimal, and for x > 4 the triangle inequality fails.
+    """
+    if x < 0:
+        raise GraphError("x must be nonnegative")
+    m = [
+        [0, x, 2, 2],
+        [x, 0, 2, 2],
+        [2, 2, 0, 1],
+        [2, 2, 1, 0],
+    ]
+    return CostFunction.from_matrix(m)
+
+
+def explored_order(trace: SimTrace) -> list[int]:
+    """The start node, then each node in the round it was first explored."""
+    return [trace.start, *(s.explored for s in trace.steps if s.explored is not None)]
+
+
+def validate_nn_traversal(c: CostFunction, order: Sequence[int]) -> int | None:
+    """None when every step goes to a nearest unvisited node; else the first bad index.
+
+    The returned index is the position in ``order`` of the first node that was
+    not a valid greedy choice.  Tie-breaking is irrelevant: any nearest node is
+    accepted.
+    """
+    validate_traversal(order, c.n)
+    if c.n == 1:
+        return None
+    unvisited = set(range(c.n))
+    unvisited.discard(order[0])
+    for i in range(1, c.n):
+        prev, cur = order[i - 1], order[i]
+        if c.kind == "matrix":
+            row = c.row(prev)
+            step = row[cur]
+            if any(row[v] < step for v in unvisited):
+                return i
+        else:
+            # hop metric: expand BFS levels from the previous node until the
+            # chosen node appears; an unvisited node in an earlier level wins.
+            for level in bfs_levels(c.graph, (prev,)):
+                if cur in level:
+                    break
+                if not unvisited.isdisjoint(level):
+                    return i
+            else:
+                raise UnreachableError(f"step {i}: node {cur} unreachable from {prev}")
+        unvisited.discard(cur)
+    return None

@@ -9,6 +9,7 @@ import pytest
 
 import nntrav
 from nntrav.cli import main, split_seed
+from nntrav.layered_ring import build_lr
 
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
@@ -91,6 +92,27 @@ def test_traverse_layered_ring_report(tmp_path, capsys):
     assert rep["metric"] is True and rep["triangle_violation"] is None
     assert rep["lambda"] == {"1": 34, "2": 6, "3": 3, "4": 3, "5": 1, "6": 1, "7": 1, "8": 1}
     assert sum(rep["lambda"].values()) == rep["cost"]
+
+
+PATH14 = {"n": 14, "edges": [[v, v + 1] for v in range(13)]}
+
+
+@pytest.mark.parametrize("sidecar", [
+    {"routes": [1]},
+    {"routes": {"hamiltonian": [[0], *range(1, 14)]}},
+    {"routes": {"hamiltonian": [1.0, 0, *range(2, 14)]}},
+    {"routes": {"hamiltonian": list(range(13))}},
+    {"routes": {"hamiltonian": [99, *range(1, 14)]}},
+    [1],
+])
+def test_traverse_ignores_an_unusable_certificate(tmp_path, capsys, sidecar):
+    # n = 14 is past the exact oracle, so only the certificate could supply opt
+    inst = tmp_path / "p.json"
+    inst.write_text(json.dumps(dict(PATH14, sidecar=sidecar)))
+    rc, out, _ = run(capsys, "traverse", "--input", str(inst))
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["opt"] is None and rep["opt_source"] is None and rep["cost"] == 13
 
 
 FIG1 = {
@@ -209,6 +231,7 @@ MALFORMED = [
     ("simulate-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
     ("simulate-schedule", {"deletions": [{"iter": 1, "edges": 5}]}),
     ("duel-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
+    ("scripted-ties", [[1], 2]),
 ]
 
 
@@ -224,6 +247,7 @@ def test_malformed_shapes_exit_2_without_traceback(tmp_path, cmd, doc):
         "bench": ["bench", "--suite", str(bad)],
         "simulate-schedule": ["simulate", "--input", str(path3), "--schedule", str(bad)],
         "duel-schedule": ["duel", "nn", f"schedule:{bad}", "--input", str(path3)],
+        "scripted-ties": ["traverse", "--input", str(path3), "--ties", f"scripted:{bad}"],
     }[cmd]
     env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "nntrav.cli", *argv],
@@ -476,7 +500,7 @@ def test_bench_lr_ratio_measures_the_canonical_cost(tmp_path, capsys):
     rc, out, _ = run(capsys, "bench", "--suite", str(suite))
     assert rc == 0
     values = [int(line.split(",")[6]) for line in out.splitlines()[2:]]
-    assert values == [nntrav.build_lr(1 << m, k).nn_cost for m, k in grid]
+    assert values == [build_lr(1 << m, k).nn_cost for m, k in grid]
 
 
 def test_bench_is_reproducible_and_seed_sensitive(tmp_path, capsys):

@@ -3,27 +3,24 @@ import random
 
 import pytest
 
-from nntrav import (
+from nntrav.games import (
     AgentStrategy,
     CliqueAdversary,
     DfsRestartAgent,
-    FailureSchedule,
     GameError,
-    Graph,
-    GraphError,
     KillerAdversary,
     NnAgent,
     NullAdversary,
     ScheduleAdversary,
-    build_dfs_killer,
     clique_stage_lengths,
-    complete_graph,
     game_budget,
     growth_fit,
     killer_script,
-    path_graph,
     play_game,
 )
+from nntrav.graph import Graph, GraphError, complete_graph, path_graph
+from nntrav.layered_ring import build_dfs_killer
+from nntrav.simulator import FailureSchedule
 from helpers import random_connected_graph
 
 

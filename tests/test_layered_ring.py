@@ -4,22 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nntrav import (
-    CostFunction,
-    GraphError,
+from nntrav.graph import CostFunction, GraphError, cost_of, hop_distance
+from nntrav.layered_ring import (
     build_dfs_killer,
     build_lr,
     canonical_nn_route,
-    cost_of,
     hamiltonian_route,
-    hop_distance,
     layers_general,
-    leg_counts,
-    nn_traversal,
     pad_to_n,
-    validate_nn_traversal,
     vertex_count_formula,
 )
+from nntrav.nn import nn_traversal
+from helpers import validate_nn_traversal
 
 
 def layers_pow2(m: int, k: int) -> list[tuple[int, ...]]:
@@ -43,6 +39,28 @@ def layers_pow2(m: int, k: int) -> list[tuple[int, ...]]:
                 t += 1
         layers.append(tuple(sorted(cur)))
     return layers
+
+
+def leg_counts(m: int, k: int) -> dict[tuple[int, int], int]:
+    """Count of gaps of length 2**t between consecutive layer positions.
+
+    Key (i, t) maps to the number of length-2**t gaps in layer i of the
+    ring-size-2**m family, computed by the refinement recurrence.
+    """
+    if m < 1:
+        raise GraphError(f"need m >= 1, got {m}")
+    if k < 1:
+        raise GraphError(f"need k >= 1, got {k}")
+    counts: dict[tuple[int, int], int] = {}
+    for t in range(m):
+        counts[(1, t)] = 2 if t == 0 else 1
+    for i in range(2, k + 1):
+        for t in range(1, m):
+            counts[(i, t)] = sum(counts[(i - 1, u)] for u in range(t + 1, m))
+        counts[(i, 0)] = counts[(i - 1, 0)] + 2 * sum(
+            counts[(i - 1, u)] for u in range(1, m)
+        )
+    return counts
 
 
 def test_halving_layers_of_the_16_ring():
@@ -202,7 +220,7 @@ def test_dfs_trap_shape():
     assert all(g.has_edge(u, v) for u, v in trap.tree_edges)
     assert sum(1 for e in g.edges() if e not in trap.tree_edges) == 6
     assert trap.rule == "first-nontree-forward-edge-per-search"
-    assert g.is_connected()
+    assert len(g.component(0)) == g.n
 
 
 def test_dfs_trap_tree_spans_without_cycles():

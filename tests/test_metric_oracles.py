@@ -12,13 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nntrav import (
-    CostFunction,
-    GraphError,
-    check_triangle,
-    opt_traversal,
-    random_metric_cost,
-)
+from nntrav.graph import CostFunction, GraphError, check_triangle, random_metric_cost
+from nntrav.nn import opt_traversal
 
 from helpers import random_connected_graph
 

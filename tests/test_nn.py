@@ -1,34 +1,40 @@
 import itertools
 import random
+from dataclasses import dataclass
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nntrav import (
+from nntrav.graph import (
     CostFunction,
-    GraphError,
     Graph,
+    GraphError,
+    UnreachableError,
+    complete_graph,
+    cost_of,
+    path_graph,
+    random_metric_cost,
+    validate_traversal,
+)
+from nntrav.nn import (
     LowestId,
     OPT_ORACLE_LIMIT,
     Scripted,
     SeededRandom,
-    UnreachableError,
     aspect_ratio_bound,
-    complete_graph,
-    cost_of,
     lambda_profile,
-    metric_closure,
     nn_traversal,
     nn_upper_bound,
     opt_traversal,
-    partition_route,
-    path_graph,
-    random_metric_cost,
+)
+from helpers import (
+    metric_closure,
+    random_connected_graph,
     unbounded_ratio_instance,
     validate_nn_traversal,
 )
-from helpers import random_connected_graph
 
 PATH4 = metric_closure(path_graph(4))
 
@@ -80,16 +86,15 @@ def test_lambda_profile_path_example():
     prof = lambda_profile([1, 0, 2, 3], PATH4)
     assert prof.as_json_obj() == {"1": 3, "2": 1}
     assert prof.total() == 4
-    assert prof.at(1) == 3 and prof.at(2) == 1 and prof.at(3) == 0
-    with pytest.raises(GraphError):
-        prof.at(0)
+    assert prof.counts.get(1, 0) == 3 and prof.counts.get(2, 0) == 1
+    assert prof.counts.get(3, 0) == 0
 
 
 def test_lambda_profile_single_step():
     c = CostFunction.from_matrix([[0, 5], [5, 0]])
     prof = lambda_profile([0, 1], c)
     assert prof.counts == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
-    assert prof.max_level() == 5
+    assert max(prof.counts, default=0) == 5
 
 
 @given(st.integers(2, 9), st.integers(0, 2**32 - 1))
@@ -100,10 +105,45 @@ def test_lambda_profile_invariants(n, seed):
     order = nn_traversal(c, rng.randrange(n))
     prof = lambda_profile(order, c)
     assert prof.total() == cost_of(order, c)
-    assert prof.at(1) <= n - 1
+    assert prof.counts.get(1, 0) <= n - 1
     levels = sorted(prof.counts)
     for a, b in zip(levels, levels[1:]):
-        assert prof.at(a) >= prof.at(b)  # nonincreasing in the level
+        assert prof.counts[a] >= prof.counts[b]  # nonincreasing in the level
+
+
+@dataclass
+class RoutePartition:
+    """Consecutive blocks of a route; block boundaries are start indices plus n."""
+
+    parts: list[list[int]]
+    cuts: list[int]
+
+
+def partition_route(order: Sequence[int], j: int, c: CostFunction) -> RoutePartition:
+    """Split a route into consecutive blocks accumulating < j cost inside each.
+
+    Walking from a block's first node, costs accumulate until a step pushes the
+    running total to >= j; the block ends just before that step completes, so
+    every within-block prefix sums to < j.  Under the triangle inequality any
+    two nodes of one block then lie at cost < j from each other, and the block
+    count k satisfies (k-1)*j <= total route cost.
+    """
+    validate_traversal(order, c.n)
+    if j < 1:
+        raise GraphError(f"threshold must be >= 1, got {j}")
+    if not c.is_metric():
+        raise GraphError("route partitioning needs the triangle inequality")
+    n = len(order)
+    cuts = [0]
+    acc = 0
+    for t in range(n - 1):
+        acc += c.cost(order[t], order[t + 1])
+        if acc >= j:
+            cuts.append(t + 1)
+            acc = 0
+    cuts.append(n)
+    parts = [list(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return RoutePartition(parts, cuts)
 
 
 def test_partition_examples():
@@ -146,9 +186,9 @@ def test_profile_bounded_by_block_count(n, seed):
     opt, route = opt_traversal(c)
     for start in range(n):
         prof = lambda_profile(nn_traversal(c, start), c)
-        for j in range(1, prof.max_level() + 1):
+        for j in range(1, max(prof.counts, default=0) + 1):
             k = len(partition_route(route, j, c).parts)
-            assert prof.at(j) <= k - 1
+            assert prof.counts.get(j, 0) <= k - 1
 
 
 @given(st.integers(4, 9), st.integers(0, 2**32 - 1))
@@ -158,7 +198,7 @@ def test_profile_bounded_by_opt_over_level(n, seed):
     opt, _ = opt_traversal(c)
     for start in range(n):
         prof = lambda_profile(nn_traversal(c, start), c)
-        assert prof.max_level() <= opt
+        assert max(prof.counts, default=0) <= opt
         for j, cnt in prof.counts.items():
             assert cnt <= opt // j
 
@@ -170,7 +210,7 @@ def test_profile_bound_needs_the_triangle_inequality():
     prof = lambda_profile(order, c)
     opt, _ = opt_traversal(c)
     assert opt == 5
-    assert prof.max_level() == 10 > opt
+    assert max(prof.counts, default=0) == 10 > opt
 
 
 def brute_force_opt(c):

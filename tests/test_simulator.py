@@ -6,22 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nntrav import (
-    CostFunction,
+from nntrav.graph import CostFunction, Graph, GraphError, complete_graph, cost_of, path_graph
+from nntrav.simulator import (
     FailureSchedule,
-    Graph,
-    GraphError,
     ScheduleError,
     check_progress,
     check_r1_r2,
-    complete_graph,
-    cost_of,
     iteration_budget,
-    path_graph,
     run_sim,
+)
+from helpers import (
+    explored_order,
+    random_connected_graph,
+    random_schedule,
     validate_nn_traversal,
 )
-from helpers import random_connected_graph, random_schedule
 
 
 def test_two_node_trace_frozen():
@@ -32,7 +31,7 @@ def test_two_node_trace_frozen():
     assert [s.moved for s in trace.steps] == [True, False, False, False]
     assert [s.explored for s in trace.steps] == [1, None, None, None]
     assert trace.final.exp == 2
-    assert trace.explored_order() == [0, 1]
+    assert explored_order(trace) == [0, 1]
 
 
 def test_single_node_stops_once_label_passes_count():
@@ -46,8 +45,8 @@ def test_path_walk_explores_in_line_order():
     g = path_graph(6)
     trace = run_sim(g, 0)
     assert trace.outcome == "terminated"
-    assert trace.explored_order() == [0, 1, 2, 3, 4, 5]
-    assert validate_nn_traversal(CostFunction.hop_metric(g), trace.explored_order()) is None
+    assert explored_order(trace) == [0, 1, 2, 3, 4, 5]
+    assert validate_nn_traversal(CostFunction.hop_metric(g), explored_order(trace)) is None
 
 
 def test_pre_run_deletion_isolates_start():
@@ -134,7 +133,7 @@ def test_static_run_mimics_greedy_traversal():
         start = rng.randrange(g.n)
         trace = run_sim(g, start)
         assert trace.outcome == "terminated"
-        order = trace.explored_order()
+        order = explored_order(trace)
         hop = CostFunction.hop_metric(g)
         assert validate_nn_traversal(hop, order) is None
         # static termination: within 4*cost + n rounds

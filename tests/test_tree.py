@@ -8,23 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nntrav import cli
-from nntrav import (
+from nntrav.graph import (
     CostFunction,
     Graph,
     GraphError,
     complete_graph,
-    identity_ranks,
     instance_to_json_obj,
-    metric_closure,
+    path_graph,
+    random_metric_cost,
+)
+from nntrav.tree import (
+    identity_ranks,
     mst_cost,
     nn_tree,
     nnt_bound_check,
-    path_graph,
-    random_metric_cost,
     shuffled_ranks,
-    unbounded_ratio_instance,
     validate_ranks,
 )
+from helpers import metric_closure, unbounded_ratio_instance
 
 STAR4 = metric_closure(Graph(4, [(0, 1), (0, 2), (0, 3)]))
 
