@@ -9,27 +9,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import hashlib
 import io
 import json
 import os
 import random
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .games import (
-    Adversary,
-    CliqueAdversary,
-    DfsRestartAgent,
-    KillerAdversary,
-    NnAgent,
-    NullAdversary,
-    ScheduleAdversary,
-    clique_stage_lengths,
-    killer_script,
-    play_game,
-)
+# games, simulator and layered_ring are imported only by the subcommands and
+# generate families that run them.  graph, nn and tree stay here: most
+# subcommands use them, and perfbench's tracer finds every layer loaded once
+# nntrav.cli and nntrav.games (which loads the other three) are imported.
 from .graph import (
     Graph,
     GraphError,
@@ -43,13 +36,6 @@ from .graph import (
     random_metric_cost,
     validate_traversal,
 )
-from .layered_ring import (
-    build_dfs_killer,
-    build_lr,
-    canonical_nn_route,
-    hamiltonian_route,
-    pad_to_n,
-)
 from .nn import (
     LowestId,
     OPT_ORACLE_LIMIT,
@@ -61,8 +47,10 @@ from .nn import (
     nn_upper_bound,
     opt_traversal,
 )
-from .simulator import FailureSchedule, check_progress, check_r1_r2, run_sim
 from .tree import identity_ranks, mst_cost, nn_tree, nnt_bound_check, shuffled_ranks
+
+if TYPE_CHECKING:
+    from .games import Adversary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -76,6 +64,8 @@ GENERATE_FAMILIES = (
 
 def split_seed(seed: int, tag: str) -> int:
     """Derive an independent child seed; stable across runs and platforms."""
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}/{tag}".encode()).hexdigest()
     return int(digest[:16], 16)
 
@@ -92,12 +82,65 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
+_BLOCK_ROWS = 256  # rows per compact block: bounds the text held at once
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _write_json(path: str | None, obj: object) -> None:
     """``obj`` as sorted, 2-space indented JSON plus a newline, to ``path`` or
-    stdout, written piece by piece rather than built as one string."""
+    stdout: the bytes of ``json.dump(obj, fh, indent=2, sort_keys=True)``,
+    written piece by piece rather than built as one string."""
     with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        _dump_json(obj, fh.write, "\n")
         fh.write("\n")
+
+
+def _dump_json(obj: object, write, nl: str) -> None:
+    """Write ``obj`` as ``json.dump(indent=2, sort_keys=True)`` does at the
+    depth whose line break and indent are ``nl``.
+
+    A list of nonempty int lists (edges, weight triples) goes through json's
+    C encoder in compact blocks of _BLOCK_ROWS rows, re-indented by
+    ``str.replace``: its text holds no strings, so every comma and bracket is
+    structure.  json's indenting encoder is pure Python and visits every int
+    one call at a time.
+    """
+    if type(obj) is str:
+        write(encode_basestring_ascii(obj))
+        return
+    if type(obj) is int:
+        write(repr(obj))
+        return
+    inner = nl + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            # json writes a non-string key as the text of its value, quoted
+            key = key if isinstance(key, str) else json.dumps(key)
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _dump_json(value, write, inner)
+            sep = ","
+        write(nl + "}")
+        return
+    if not isinstance(obj, (list, tuple)) or not obj:  # bools, None, floats, {}, []
+        write(json.dumps(obj))
+        return
+    if not ({list}.issuperset(map(type, obj)) and all(obj)
+            and {int}.issuperset(map(type, chain.from_iterable(obj)))):
+        sep = "["
+        for item in obj:
+            write(sep + inner)
+            _dump_json(item, write, inner)
+            sep = ","
+        write(nl + "]")
+        return
+    deep = inner + "  "
+    for start in range(0, len(obj), _BLOCK_ROWS):
+        # [[1,2],[3]] -> [<deep>1,<deep>2<inner>],<inner>[<deep>3<inner>]
+        text = _compact(obj[start:start + _BLOCK_ROWS])[2:-2].replace(",", "," + deep)
+        text = text.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
+        write(("," if start else "[") + inner + "[" + deep + text + inner + "]")
+    write(nl + "]")
 
 
 def _read_json(path: str) -> object:
@@ -160,6 +203,8 @@ def _parse_ties(spec: str, seed: int):
 
 
 def _lr_sidecar(lr) -> dict:
+    from .layered_ring import canonical_nn_route, hamiltonian_route
+
     return {
         "nu": lr.nu,
         "k": lr.k,
@@ -186,6 +231,8 @@ def _require(args: argparse.Namespace, family: str, *names: str) -> list[int]:
 
 def _build_lr_pow2(m: int, k: int):
     """The layered ring of size 2**m with k layers."""
+    from .layered_ring import build_lr
+
     if m < 1:
         raise GraphError(f"need m >= 1, got {m}")
     return build_lr(1 << m, k)
@@ -201,10 +248,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         lr = _build_lr_pow2(m, k)
         graph, sidecar, params = lr.graph, _lr_sidecar(lr), {"m": m, "k": k}
     elif family == "lr-general":
+        from .layered_ring import build_lr
+
         nu, k = _require(args, family, "nu", "k")
         lr = build_lr(nu, k)
         graph, sidecar, params = lr.graph, _lr_sidecar(lr), {"nu": nu, "k": k}
     elif family == "lr-padded":
+        from .layered_ring import pad_to_n
+
         nu, k, n = _require(args, family, "nu", "k", "n")
         pr = pad_to_n(nu, k, n)
         graph = pr.graph
@@ -219,6 +270,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "scripted_ties": pr.nn_route,
         }
     elif family == "dfs-killer":
+        from .games import killer_script
+        from .layered_ring import build_dfs_killer
+
         (n,) = _require(args, family, "n")
         trap = build_dfs_killer(n)
         graph = trap.graph
@@ -358,6 +412,8 @@ def _write_trace(trace, summary: dict | None, output: str | None) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulator import FailureSchedule, check_progress, check_r1_r2, run_sim
+
     graph, cost, _ = _load_instance(args.input)
     if cost.kind != "hop":
         raise GraphError("simulate runs on plain graphs, not explicit cost matrices")
@@ -382,6 +438,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _make_agent(name: str):
+    from .games import DfsRestartAgent, NnAgent
+
     if name == "nn":
         return NnAgent()
     if name == "dfs-restart":
@@ -404,6 +462,10 @@ def _duel_floor(spec: str, n: int) -> int:
 def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary]:
     """Graph and adversary for a duel: on the parsed instance JSON when one is
     given (not None), else generated at size ``n``."""
+    from .games import CliqueAdversary, KillerAdversary, NullAdversary, ScheduleAdversary
+    from .layered_ring import build_dfs_killer
+    from .simulator import FailureSchedule
+
     graph = None
     if instance is not None:
         graph, cost = instance_from_json_obj(instance)
@@ -432,6 +494,8 @@ def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary
 
 
 def cmd_duel(args: argparse.Namespace) -> int:
+    from .games import CliqueAdversary, clique_stage_lengths, play_game
+
     agent = _make_agent(args.agent)
     instance = _read_json(args.input) if args.input else None
     graph, adv = _arena(args.adversary, args.n, instance)
@@ -521,6 +585,8 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
         out.update(family="lr-pow2", n=lr.n, m=m, k=k,
                    value=value, bound=bound, ratio=f"{value}/{bound}")
     elif kind == "duel":
+        from .games import play_game
+
         agent = _make_agent(row["agent"])
         n = row["n"]
         spec = row["adversary"]
@@ -543,6 +609,8 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import csv
+
     seed = _resolve_seed(args)
     suite = _read_json(args.suite)
     if not isinstance(suite, dict) or not isinstance(suite.get("rows"), list):

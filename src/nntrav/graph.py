@@ -7,6 +7,7 @@ replayable against their original input.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -24,6 +25,22 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _bulk_rows(rows: list, row_types: set[type], width: int, n: int) -> bool:
+    """True when ``rows`` is nonempty and every row is one of ``row_types``,
+    holds ``width`` nonnegative ints (bools excluded) and starts with two node
+    ids below ``n``.
+
+    Each test is one C-level pass over the rows or over one flat copy of
+    their entries, as ``bfs_levels`` tests its sources; on False the caller
+    scans entry by entry, which names the first bad row.
+    """
+    if not (rows and row_types.issuperset(map(type, rows)) and {width}.issuperset(map(len, rows))):
+        return False
+    flat = [*chain.from_iterable(rows)]
+    return ({int}.issuperset(map(type, flat)) and min(flat) >= 0
+            and max(flat[0::width]) < n and max(flat[1::width]) < n)
+
+
 class Graph:
     """Simple undirected graph supporting edge deletion but never insertion."""
 
@@ -33,9 +50,20 @@ class Graph:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphError(f"node count must be a positive int, got {n!r}")
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        pairs = [*edges]
+        adj: list[set[int]] = [set() for _ in range(n)]
+        if _bulk_rows(pairs, {list, tuple}, 2, n):
+            for u, v in pairs:
+                adj[u].add(v)
+                adj[v].add(u)
+            if sum(map(len, adj)) == 2 * len(pairs):  # no self-loop, no duplicate
+                self._adj, self._edge_count = adj, len(pairs)
+                return
+            adj = [set() for _ in range(n)]
+        # entry by entry, to name the first bad one
+        self._adj = adj
         self._edge_count = 0
-        for pair in edges:
+        for pair in pairs:
             try:
                 u, v = pair
             except (TypeError, ValueError):
@@ -432,6 +460,17 @@ def instance_from_json_obj(obj: dict) -> tuple[Graph, CostFunction | None]:
         return graph, None
     if not isinstance(weights, list):
         raise GraphError(f"weights must be a list, got {weights!r}")
+    want = n * (n - 1) // 2
+    if len(weights) == want and _bulk_rows(weights, {list}, 3, n):
+        mat = [[-1] * n for _ in range(n)]  # -1: pair not given yet
+        for u in range(n):
+            mat[u][u] = 0
+        for u, v, w in weights:
+            mat[u][v] = mat[v][u] = w
+        # want entries filled every pair, so none was a self-pair or a duplicate
+        if min(map(min, mat)) >= 0:
+            return graph, CostFunction("matrix", n, None, mat)
+    # entry by entry, to name the first bad one
     mat = [[0] * n for _ in range(n)]
     seen: set[Edge] = set()
     for item in weights:
@@ -447,7 +486,6 @@ def instance_from_json_obj(obj: dict) -> tuple[Graph, CostFunction | None]:
             raise GraphError(f"duplicate weight entry for pair {e}")
         seen.add(e)
         mat[u][v] = mat[v][u] = w
-    want = n * (n - 1) // 2
     if len(seen) != want:
         raise GraphError(f"explicit matrix must cover all {want} pairs, got {len(seen)}")
     return graph, CostFunction.from_matrix(mat)

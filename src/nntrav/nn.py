@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .graph import (
@@ -112,11 +112,13 @@ def nn_traversal(c: CostFunction, start: int, tie_break: TieBreak | None = None)
 # --- step-cost profile ------------------------------------------------------
 
 
-@dataclass
 class LambdaProfile:
     """Sparse counts: ``counts[j]`` = number of steps of cost >= j, for j >= 1."""
 
-    counts: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[int, int]):
+        self.counts = counts
 
     def total(self) -> int:
         """Equals the traversal cost: summing level counts integrates step costs."""
@@ -129,11 +131,14 @@ class LambdaProfile:
 def lambda_profile(order: Sequence[int], c: CostFunction) -> LambdaProfile:
     validate_traversal(order, c.n)
     steps = [c.cost(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    counts: dict[int, int] = {}
+    top = max(steps, default=0)
+    hist = [0] * (top + 1)  # hist[s]: steps of cost exactly s
     for s in steps:
-        for j in range(1, s + 1):
-            counts[j] = counts.get(j, 0) + 1
-    return LambdaProfile(counts)
+        hist[s] += 1
+    # suffix sums from the largest cost down: steps of cost >= top, top - 1, ..., 0
+    at_least = [*accumulate(reversed(hist))]
+    at_least.pop()  # cost >= 0 counts every step and is no level
+    return LambdaProfile(dict(zip(range(1, top + 1), reversed(at_least))))
 
 
 # --- exact optimum (small instances) ----------------------------------------

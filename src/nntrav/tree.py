@@ -9,7 +9,6 @@ spanning tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .graph import CostFunction, Edge, GraphError, normalize_edge
 
@@ -29,15 +28,18 @@ def shuffled_ranks(n: int, rng) -> list[int]:
     return ranks
 
 
-@dataclass
 class RankedTree:
     """Spanning tree where each non-top node holds one edge to a higher rank."""
 
-    attach: dict[int, int]  # node -> its chosen higher-ranked target
-    edges: list[Edge]
-    costs: dict[Edge, int]
-    total: int
-    root: int
+    __slots__ = ("attach", "edges", "costs", "total", "root")
+
+    def __init__(self, attach: dict[int, int], edges: list[Edge], costs: dict[Edge, int],
+                 total: int, root: int):
+        self.attach = attach  # node -> its chosen higher-ranked target
+        self.edges = edges
+        self.costs = costs
+        self.total = total
+        self.root = root
 
 
 def nn_tree(c: CostFunction, ranks) -> RankedTree:
@@ -88,12 +90,14 @@ def mst_cost(c: CostFunction) -> tuple[int, list[Edge]]:
     return total, sorted(edges)
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    tree_cost: int
-    mst: int
-    budget: int
-    ok: bool
+    __slots__ = ("tree_cost", "mst", "budget", "ok")
+
+    def __init__(self, tree_cost: int, mst: int, budget: int, ok: bool):
+        self.tree_cost = tree_cost
+        self.mst = mst
+        self.budget = budget
+        self.ok = ok
 
 
 def nnt_bound_check(n: int, tree_total: int, mst: int) -> BoundReport:

@@ -1,7 +1,9 @@
 """Shared builders and oracles for the test suite: random connected graphs and
 failure schedules, the small worked instances, and a greedy-validity checker."""
 
+import ast
 import random
+from pathlib import Path
 from typing import Sequence
 
 from nntrav.graph import (
@@ -13,6 +15,17 @@ from nntrav.graph import (
     validate_traversal,
 )
 from nntrav.simulator import FailureSchedule, SimTrace
+
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def traced_layers() -> dict[str, tuple[str, ...]]:
+    """The benchmark tracer's LAYERS table (module -> traced names), read from
+    ``perfbench/tracer.py`` without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no LAYERS table in {TRACER}")
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int | None = None) -> Graph:

@@ -299,11 +299,11 @@ def test_simulate_rejects_matrix_instances(tmp_path, capsys):
 
 
 def test_simulate_checks_run_only_for_the_summary(tmp_path, capsys, monkeypatch):
-    import nntrav.cli as cli
+    import nntrav.simulator as simulator  # cmd_simulate imports the checks when it runs
 
     calls = []
-    monkeypatch.setattr(cli, "check_r1_r2", lambda trace, graph: calls.append("r1_r2"))
-    monkeypatch.setattr(cli, "check_progress", lambda trace: calls.append("progress"))
+    monkeypatch.setattr(simulator, "check_r1_r2", lambda trace, graph: calls.append("r1_r2"))
+    monkeypatch.setattr(simulator, "check_progress", lambda trace: calls.append("progress"))
     inst = tmp_path / "p.json"
     run(capsys, "generate", "path", "--n", "5", "--output", str(inst))
     rc, out, _ = run(capsys, "simulate", "--input", str(inst))

@@ -111,6 +111,29 @@ def test_lambda_profile_invariants(n, seed):
         assert prof.counts[a] >= prof.counts[b]  # nonincreasing in the level
 
 
+def _levels_oracle(steps: list[int]) -> dict[int, int]:
+    """lambda_profile's counts by its former loop: one entry per level j <= s
+    for every step cost s, so O(sum of the step costs)."""
+    counts: dict[int, int] = {}
+    for s in steps:
+        for j in range(1, s + 1):
+            counts[j] = counts.get(j, 0) + 1
+    return counts
+
+
+@given(st.lists(st.one_of(st.just(0), st.integers(0, 12), st.integers(1000, 3000)), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_lambda_profile_matches_the_per_level_loop(steps):
+    # a chain 0, 1, 2, ... whose i-th step costs steps[i]; other pairs cost 0
+    n = len(steps) + 1
+    mat = [[0] * n for _ in range(n)]
+    for i, s in enumerate(steps):
+        mat[i][i + 1] = mat[i + 1][i] = s
+    prof = lambda_profile(list(range(n)), CostFunction.from_matrix(mat))
+    # same levels, same counts, and the same ascending key order
+    assert list(prof.counts.items()) == list(_levels_oracle(steps).items())
+
+
 @dataclass
 class RoutePartition:
     """Consecutive blocks of a route; block boundaries are start indices plus n."""

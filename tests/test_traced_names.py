@@ -5,22 +5,13 @@ The traced benchmark run looks these names up with ``getattr``; a rename in
 here, read from ``perfbench/tracer.py`` without importing it.
 """
 
-import ast
 import importlib
-from pathlib import Path
 
-TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-
-
-def _traced_layers() -> dict[str, tuple[str, ...]]:
-    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS table in {TRACER}")
+from helpers import traced_layers
 
 
 def test_every_traced_name_resolves():
-    layers = _traced_layers()
+    layers = traced_layers()
     assert layers
     for layer, attrs in layers.items():
         module = importlib.import_module(f"nntrav.{layer}")
