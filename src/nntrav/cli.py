@@ -399,20 +399,54 @@ def cmd_traverse(args: argparse.Namespace) -> int:
 # --- simulate ----------------------------------------------------------------
 
 
-def _write_trace(trace, summary: dict | None, output: str | None) -> int:
-    """Trace lines to ``output`` and the summary to stdout, or without ``output``
-    the trace lines alone to stdout; the exit code follows the trace's outcome."""
-    lines = "\n".join(trace.to_json_lines()) + "\n"
-    if output:
-        _write_text(output, lines)
+@contextlib.contextmanager
+def _trace_output(output: str | None):
+    """Yield ``write`` for a run's trace lines, each with its newline.
+
+    The lines stream to a sibling temporary file that replaces ``output``
+    (the file a symlink names) when the block succeeds, or without
+    ``output`` to a temporary file that is then copied to stdout.  A run that
+    fails leaves ``output`` as it was and prints nothing, and no trace is
+    ever held in memory whole.  An ``output`` that exists but is no regular
+    file, such as a pipe or ``/dev/stdout``, cannot be replaced and is
+    written in place.
+    """
+    if output is None:
+        import shutil
+        import tempfile
+
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as fh:
+            yield fh.write
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+        return
+    if os.path.exists(output) and not os.path.isfile(output):
+        with open(output, "w", encoding="utf-8") as fh:
+            yield fh.write
+        return
+    target = os.path.realpath(output)
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            yield fh.write
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
+def _trace_result(trace, summary: dict | None) -> int:
+    """Print ``summary`` (the stdout report of a run with a trace file), once
+    the trace is in place, and return the run's exit code."""
+    if summary is not None:
         _write_json(None, summary)
-    else:
-        _write_text(None, lines)
     return EXIT_BUDGET if trace.outcome == "budget-exhausted" else EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulator import FailureSchedule, check_progress, check_r1_r2, run_sim
+    from .simulator import (
+        FailureSchedule, check_progress, check_r1_r2, encode_line, run_sim)
 
     graph, cost, _ = _load_instance(args.input)
     if cost.kind != "hop":
@@ -420,18 +454,32 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = FailureSchedule.empty()
     if args.schedule:
         schedule = FailureSchedule.from_json_obj(_read_json(args.schedule))
-    trace = run_sim(graph, args.start, schedule, args.budget)
-    summary = None
+    checks = {}
     if args.output:  # without a trace file only the trace is printed, so skip its checks
+        checks = {"r1_r2": check_r1_r2(graph), "progress": check_progress(graph.n)}
+    verdicts = dict.fromkeys(checks)
+    with _trace_output(args.output) as write:
+
+        def on_step(step) -> None:
+            write(encode_line(step.as_json_obj()) + "\n")
+            for name, check in checks.items():
+                if verdicts[name] is None:  # each check stops at its first violation
+                    verdicts[name] = check(step)
+
+        trace = run_sim(graph, args.start, schedule, args.budget, on_step)
+        for line in trace.to_json_lines():
+            write(line + "\n")
+    summary = None
+    if args.output:
         summary = {
             "outcome": trace.outcome,
             "iterations": trace.iterations,
             "explored": trace.final.exp,
             "n": trace.n,
-            "r1_r2": check_r1_r2(trace, graph) or "ok",
-            "progress": check_progress(trace) or "ok",
+            "r1_r2": verdicts["r1_r2"] or "ok",
+            "progress": verdicts["progress"] or "ok",
         }
-    return _write_trace(trace, summary, args.output)
+    return _trace_result(trace, summary)
 
 
 # --- duel --------------------------------------------------------------------
@@ -494,28 +542,31 @@ def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary
 
 
 def cmd_duel(args: argparse.Namespace) -> int:
-    from .games import CliqueAdversary, clique_stage_lengths, play_game
+    from .games import CliqueAdversary, clique_stage_lengths, play_game, trace_writer
 
     agent = _make_agent(args.agent)
     instance = _read_json(args.input) if args.input else None
     graph, adv = _arena(args.adversary, args.n, instance)
-    trace = play_game(agent, adv, graph, args.start, args.budget)
-    summary = {
-        "agent": trace.agent,
-        "adversary": trace.adversary,
-        "n": trace.n,
-        "steps": trace.step_count,
-        "outcome": trace.outcome,
-        "visited": len(trace.visited),
-        "bound": None,
-        "bound_ok": None,
-    }
-    if isinstance(adv, CliqueAdversary):
-        bound = _duel_floor("clique", graph.n)
-        summary["bound"] = bound
-        summary["bound_ok"] = trace.step_count >= bound
-        summary["stages"] = clique_stage_lengths(trace)
-    return _write_trace(trace, summary, args.output)
+    with _trace_output(args.output) as write:
+        trace = play_game(agent, adv, graph, args.start, args.budget, trace_writer(write))
+        summary = {
+            "agent": trace.agent,
+            "adversary": trace.adversary,
+            "n": trace.n,
+            "steps": trace.step_count,
+            "outcome": trace.outcome,
+            "visited": len(trace.visited),
+            "bound": None,
+            "bound_ok": None,
+        }
+        if isinstance(adv, CliqueAdversary):
+            bound = _duel_floor("clique", graph.n)
+            summary["bound"] = bound
+            summary["bound_ok"] = trace.step_count >= bound
+            summary["stages"] = clique_stage_lengths(trace)  # raises before the trace is kept
+        for line in trace.to_json_lines():
+            write(line + "\n")
+    return _trace_result(trace, summary if args.output else None)
 
 
 # --- tree --------------------------------------------------------------------

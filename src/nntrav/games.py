@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Callable
 
 from .graph import Edge, Graph, GraphError, bfs_levels, nearest_of, normalize_edge
 from .layered_ring import DfsTrap
@@ -24,15 +25,19 @@ class GameError(GraphError):
     """Illegal move, illegal deletion, illegal halt, or broken precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GameView:
-    """What the adversary sees after an agent move, before reacting."""
+    """What the adversary sees after an agent move, before reacting.
+
+    ``play_game`` keeps one view per run and updates it in place after every
+    move, so an adversary reads it during ``react`` and keeps nothing of it.
+    """
 
     graph: Graph
     visited: frozenset[int]
     pos: int
-    steps: int
-    last_move: tuple[int, int]
+    steps: int = 0
+    last_move: tuple[int, int] | None = None
 
 
 class AgentStrategy:
@@ -66,44 +71,26 @@ class Adversary:
         return out
 
 
-@dataclass(frozen=True)
-class GameStep:
-    step: int
-    frm: int
-    to: int
-    deleted: tuple[Edge, ...]
-    events: tuple[dict, ...]
-
-    def as_json_obj(self) -> dict:
-        return {
-            "step": self.step,
-            "from": self.frm,
-            "to": self.to,
-            "deleted": [list(e) for e in self.deleted],
-            "events": list(self.events),
-        }
-
-
 @dataclass
 class GameTrace:
+    """A finished game's summary; its steps went to ``play_game``'s ``on_step``.
+
+    ``events`` holds the adversary's events in order (the clique's phase
+    events, each naming its step), not the steps.
+    """
+
     n: int
     start: int
     agent: str
     adversary: str
     pre_deleted: tuple[Edge, ...]
-    steps: list[GameStep]
+    step_count: int
     outcome: str  # "halted" | "budget-exhausted"
     visited: set[int]
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
+    events: list[dict]
 
     def to_json_lines(self) -> list[str]:
-        lines = []
-        if self.pre_deleted:
-            lines.append(encode_line({"step": 0, "deleted": [list(e) for e in self.pre_deleted]}))
-        lines.extend(encode_line(s.as_json_obj()) for s in self.steps)
+        """The lines that close the trace after the step lines: the summary."""
         summary = {
             "agent": self.agent,
             "adversary": self.adversary,
@@ -111,8 +98,7 @@ class GameTrace:
             "steps": self.step_count,
             "visited": sorted(self.visited),
         }
-        lines.append(encode_line(summary))
-        return lines
+        return [encode_line(summary)]
 
 
 def game_budget(n: int) -> int:
@@ -128,12 +114,17 @@ def play_game(
     graph: Graph,
     start: int,
     max_steps: int | None = None,
+    on_step: Callable[..., object] | None = None,
 ) -> GameTrace:
     """Alternate agent moves and adversary deletions until a legal halt or budget.
 
     Both sides are validated every turn: moves must follow current edges,
     deletions must name current edges, and a halt is only legal when the
     agent's whole component is visited.  The input graph is left unmodified.
+
+    Each step goes to ``on_step(step, frm, to, deleted, events)`` as soon as
+    the adversary has reacted, and is not kept; a call with step 0 (``frm``
+    and ``to`` None) first reports the deletions made before the first move.
     """
     if not 0 <= start < graph.n:
         raise GraphError(f"start {start} out of range for {graph.n} nodes")
@@ -143,14 +134,19 @@ def play_game(
     pre = tuple(normalize_edge(u, v) for u, v in adv.reset(work, start))
     for u, v in pre:
         work.delete_edge(u, v)
+    if pre and on_step is not None:
+        on_step(0, None, None, pre, ())
     adj = work.adjacency
     visited = {start}
-    visited_view = frozenset(visited)  # the adversary's copy, rebuilt only when a node is new
+    # the adversary's copy of the visited set is rebuilt only when a node is new
+    view = GameView(work, frozenset(visited), start)
+    decide, react, pop_events = agent.decide, adv.react, adv.pop_events
+    events: list[dict] = []
     pos = start
-    steps: list[GameStep] = []
+    step = 0
     outcome = "budget-exhausted"
-    while len(steps) < budget:
-        move = agent.decide(work, visited, pos)
+    while step < budget:
+        move = decide(work, visited, pos)
         if move is None:
             if not work.component(pos) <= visited:
                 raise GameError(
@@ -161,17 +157,43 @@ def play_game(
         if type(move) is not int or move not in adj[pos]:
             raise GameError(f"illegal move {pos} -> {move!r}: nodes not adjacent")
         frm, pos = pos, move
+        step += 1
         if pos not in visited:
             visited.add(pos)
-            visited_view = frozenset(visited)
-        view = GameView(work, visited_view, pos, len(steps) + 1, (frm, pos))
+            view.visited = frozenset(visited)
+        view.pos, view.steps, view.last_move = pos, step, (frm, pos)
         cuts = []
-        for u, v in adv.react(view):
+        for u, v in react(view):
             e = normalize_edge(u, v)
             work.delete_edge(u, v)  # raises if the edge does not exist
             cuts.append(e)
-        steps.append(GameStep(len(steps) + 1, frm, pos, tuple(cuts), tuple(adv.pop_events())))
-    return GameTrace(graph.n, start, agent.name, adv.name, pre, steps, outcome, visited)
+        new = pop_events()
+        if new:
+            events.extend(new)
+        if on_step is not None:
+            on_step(step, frm, pos, cuts, new)
+    return GameTrace(graph.n, start, agent.name, adv.name, pre, step, outcome, visited, events)
+
+
+def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
+    """An ``on_step`` consumer that passes each step's trace line, with its
+    newline, to ``write``.
+
+    A line is the text ``encode_line`` gives the step's JSON object.  Most
+    steps cut no edge and raise no event; their line has a fixed shape and is
+    built by one f-string.
+    """
+
+    def on_step(step, frm, to, deleted, events) -> None:
+        if deleted or events:
+            obj = {"step": step, "deleted": [list(e) for e in deleted]}
+            if step:
+                obj.update({"from": frm, "to": to, "events": list(events)})
+            write(encode_line(obj) + "\n")
+        else:
+            write(f'{{"deleted": [], "events": [], "from": {frm}, "step": {step}, "to": {to}}}\n')
+
+    return on_step
 
 
 class NnAgent(AgentStrategy):
@@ -412,10 +434,16 @@ def killer_script(trap: DfsTrap, start: int = 0, max_steps: int | None = None) -
     """
     if max_steps is None:
         max_steps = 4 * trap.graph.n ** 3
-    trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, start, max_steps)
+    deletions: dict[int, tuple[Edge, ...]] = {}
+
+    def keep_cuts(step, frm, to, deleted, events) -> None:
+        if deleted:
+            deletions[step] = tuple(deleted)
+
+    trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, start, max_steps,
+                      keep_cuts)
     if trace.outcome != "halted":
         raise GameError(f"script capture ran past {max_steps} steps without finishing")
-    deletions = {s.step: s.deleted for s in trace.steps if s.deleted}
     return FailureSchedule(deletions)
 
 
@@ -426,12 +454,11 @@ def clique_stage_lengths(trace: GameTrace) -> list[int]:
     that starts phase 1, phase i ends at the step carrying its phase-end.
     """
     boundaries = []
-    for step in trace.steps:
-        for ev in step.events:
-            if ev["kind"] == "phase-start" and ev["phase"] == 1:
-                boundaries.append(step.step)
-            elif ev["kind"] == "phase-end":
-                boundaries.append(step.step)
+    for ev in trace.events:
+        if ev["kind"] == "phase-start" and ev["phase"] == 1:
+            boundaries.append(ev["step"])
+        elif ev["kind"] == "phase-end":
+            boundaries.append(ev["step"])
     if not boundaries:
         raise GameError("trace has no phase events")
     stages = [boundaries[0]]

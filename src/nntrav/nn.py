@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import accumulate
 from typing import Sequence
 
@@ -132,6 +133,8 @@ def lambda_profile(order: Sequence[int], c: CostFunction) -> LambdaProfile:
     validate_traversal(order, c.n)
     steps = [c.cost(order[i], order[i + 1]) for i in range(len(order) - 1)]
     top = max(steps, default=0)
+    if top >= sys.maxsize:  # the histogram below needs top + 1 list slots
+        raise GraphError(f"step cost {top} is too large for a step-cost profile")
     hist = [0] * (top + 1)  # hist[s]: steps of cost exactly s
     for s in steps:
         hist[s] += 1

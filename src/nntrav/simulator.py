@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import gt, lt
+from typing import Callable
 
 from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
 
@@ -114,6 +115,8 @@ def has_terminated(state: SimState) -> bool:
 
 @dataclass(frozen=True)
 class SimStep:
+    """One round's record; iteration 0 records only the deletions made before the run."""
+
     iteration: int
     pos_before: int
     pos_after: int
@@ -123,6 +126,8 @@ class SimStep:
     deleted: tuple[Edge, ...]
 
     def as_json_obj(self) -> dict:
+        if not self.iteration:
+            return {"iter": 0, "deleted": [list(e) for e in self.deleted]}
         return {
             "iter": self.iteration,
             "pos_before": self.pos_before,
@@ -181,10 +186,11 @@ def sim_step(state: SimState, graph: Graph, deletions: tuple[Edge, ...] = ()) ->
 
 @dataclass
 class SimTrace:
+    """A finished run's summary; its rounds went to ``run_sim``'s ``on_step``."""
+
     n: int
     start: int
     pre_deleted: tuple[Edge, ...]
-    steps: list[SimStep]
     outcome: str  # "terminated" | "budget-exhausted"
     final: SimState
 
@@ -196,18 +202,14 @@ class SimTrace:
         return {v for v in range(self.n) if self.final.vis[v]}
 
     def to_json_lines(self) -> list[str]:
-        lines = []
-        if self.pre_deleted:
-            lines.append(encode_line({"iter": 0, "deleted": [list(e) for e in self.pre_deleted]}))
-        lines.extend(encode_line(s.as_json_obj()) for s in self.steps)
+        """The lines that close the trace after the round lines: the summary."""
         summary = {
             "outcome": self.outcome,
             "iterations": self.iterations,
             "explored": self.final.exp,
             "visited": sorted(self.visited()),
         }
-        lines.append(encode_line(summary))
-        return lines
+        return [encode_line(summary)]
 
 
 def iteration_budget(n: int) -> int:
@@ -222,11 +224,15 @@ def run_sim(
     start: int,
     schedule: FailureSchedule | None = None,
     max_iterations: int | None = None,
+    on_step: Callable[[SimStep], object] | None = None,
 ) -> SimTrace:
     """Run rounds until the walker's label exceeds its explored count, or budget.
 
-    The input graph is not modified; deletions land on an internal copy.
-    Deterministic: same graph, start, and schedule give the identical trace.
+    Each round's record goes to ``on_step`` as soon as the round ends, after
+    an iteration-0 record of the deletions made before the run, if any; no
+    record is kept.  The input graph is not modified; deletions land on an
+    internal copy.  Deterministic: same graph, start, and schedule give the
+    identical records.
     """
     if not 0 <= start < graph.n:
         raise GraphError(f"start {start} out of range for {graph.n} nodes")
@@ -236,85 +242,102 @@ def run_sim(
     pre = schedule.edges_at(0)
     for u, v in pre:
         work.delete_edge(u, v)
+    if pre and on_step is not None:
+        on_step(SimStep(0, start, start, False, None, (), pre))
     state = SimState.initial(graph.n, start)
-    steps: list[SimStep] = []
     outcome = "budget-exhausted"
     while state.iteration < budget:
         state, record = sim_step(state, work, schedule.edges_at(state.iteration + 1))
-        steps.append(record)
+        if on_step is not None:
+            on_step(record)
         if has_terminated(state):
             outcome = "terminated"
             break
-    return SimTrace(graph.n, start, pre, steps, outcome, state)
+    return SimTrace(graph.n, start, pre, outcome, state)
 
 
-def check_r1_r2(trace: SimTrace, graph: Graph) -> str | None:
-    """Validate the two label invariants against the original graph + trace.
+def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
+    """An online check of the two label invariants over a run on ``graph``.
 
     R1: every node's label is nondecreasing over the run.  R2: no visited
     node's label ever exceeds its true distance to the nearest unvisited node
     in the graph as it stood during that round (no unvisited reachable =>
-    compared against the cap n + 1).  Returns None if both hold, else a
-    description of the first violation.
+    compared against the cap n + 1).  Feed the returned function the run's
+    records in order, iteration 0 included; it returns None for a round where
+    both hold, else a description of the violation.  Stop at the first one.
     """
     work = graph.copy()
-    for u, v in trace.pre_deleted:
-        work.delete_edge(u, v)
-    n = trace.n
+    n = graph.n
     prev: tuple[int, ...] = (0,) * n
-    visited = [False] * n
-    visited[trace.start] = True
+    visited: list[bool] = []  # filled from the first record's start node
     true = None  # the last BFS result; only an exploration or a deletion changes it
-    for step in trace.steps:
-        if step.explored is not None:
-            visited[step.explored] = True
-            true = None
-        dist = step.dist
-        # a C-speed test first; the scans below name the first violation
-        if any(map(lt, dist, prev)):
-            for v in range(n):
-                if dist[v] < prev[v]:
-                    return (
-                        f"R1 violated at iteration {step.iteration}: "
-                        f"dist[{v}] decreased {prev[v]} -> {dist[v]}"
-                    )
-        if true is None:
-            # unreachable => n + 1, the label cap
-            true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
-        if any(map(gt, dist, true)):
-            for v in range(n):
-                if visited[v] and dist[v] > true[v]:
-                    return (
-                        f"R2 violated at iteration {step.iteration}: "
-                        f"dist[{v}] = {dist[v]} exceeds true distance {true[v]}"
-                    )
-        prev = dist
+
+    def check(step: SimStep) -> str | None:
+        nonlocal prev, true
+        if not visited:
+            visited.extend(v == step.pos_before for v in range(n))
+        if step.iteration:
+            if step.explored is not None:
+                visited[step.explored] = True
+                true = None
+            dist = step.dist
+            # a C-speed test first; the scans below name the first violation
+            if any(map(lt, dist, prev)):
+                for v in range(n):
+                    if dist[v] < prev[v]:
+                        return (
+                            f"R1 violated at iteration {step.iteration}: "
+                            f"dist[{v}] decreased {prev[v]} -> {dist[v]}"
+                        )
+            if true is None:
+                # unreachable => n + 1, the label cap
+                true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
+            if any(map(gt, dist, true)):
+                for v in range(n):
+                    if visited[v] and dist[v] > true[v]:
+                        return (
+                            f"R2 violated at iteration {step.iteration}: "
+                            f"dist[{v}] = {dist[v]} exceeds true distance {true[v]}"
+                        )
+            prev = dist
         if step.deleted:
             for u, v in step.deleted:
                 work.delete_edge(u, v)
             true = None
-    return None
+        return None
+
+    return check
 
 
-def check_progress(trace: SimTrace) -> str | None:
-    """Validate the per-round liveness accounting of the termination argument.
+def check_progress(n: int) -> Callable[[SimStep], str | None]:
+    """An online check of the per-round liveness accounting of the termination argument.
 
     Every round either moves the walker strictly downhill in label value,
-    terminates the run, or strictly increases some node's label.  Returns None
-    if every round complies, else a description of the first violation.
+    ends the run (the walker's label exceeds the explored count), or
+    strictly increases some node's label.  Feed the returned function the
+    records of a run on ``n`` nodes in order; it returns None for a round
+    that complies, else a description of the violation.  Stop at the first
+    one.
     """
-    prev: tuple[int, ...] = (0,) * trace.n
-    last = trace.steps[-1] if trace.steps else None
-    for step in trace.steps:
+    prev: tuple[int, ...] = (0,) * n
+    explored = 1  # the start node
+
+    def check(step: SimStep) -> str | None:
+        nonlocal prev, explored
+        if not step.iteration:
+            return None
+        dist = step.dist
+        if step.explored is not None:
+            explored += 1
         if step.moved:
-            if step.dist[step.pos_after] >= step.dist[step.pos_before]:
+            if dist[step.pos_after] >= dist[step.pos_before]:
                 return (
                     f"move at iteration {step.iteration} was not downhill: "
-                    f"{step.dist[step.pos_before]} -> {step.dist[step.pos_after]}"
+                    f"{dist[step.pos_before]} -> {dist[step.pos_after]}"
                 )
-        else:
-            terminated = step is last and trace.outcome == "terminated"
-            if not terminated and not any(map(gt, step.dist, prev)):
-                return f"no move and no dist increase at iteration {step.iteration}"
-        prev = step.dist
-    return None
+        elif dist[step.pos_after] <= explored and not any(map(gt, dist, prev)):
+            return f"no move and no dist increase at iteration {step.iteration}"
+        prev = dist
+        return None
+
+    return check

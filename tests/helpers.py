@@ -1,20 +1,25 @@
 """Shared builders and oracles for the test suite: random connected graphs and
-failure schedules, the small worked instances, and a greedy-validity checker."""
+failure schedules, the small worked instances, a greedy-validity checker, and
+recorders that keep the step streams of games and simulations together with
+the per-step trace encoder those streams replaced."""
 
 import ast
 import random
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from nntrav.games import GameTrace, play_game
 from nntrav.graph import (
     CostFunction,
+    Edge,
     Graph,
     GraphError,
     UnreachableError,
     bfs_levels,
     validate_traversal,
 )
-from nntrav.simulator import FailureSchedule, SimTrace
+from nntrav.simulator import FailureSchedule, SimStep, SimTrace, encode_line, run_sim
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
 
@@ -83,9 +88,100 @@ def unbounded_ratio_instance(x: int = 10) -> CostFunction:
     return CostFunction.from_matrix(m)
 
 
-def explored_order(trace: SimTrace) -> list[int]:
+def explored_order(trace: SimTrace, steps: list[SimStep]) -> list[int]:
     """The start node, then each node in the round it was first explored."""
-    return [trace.start, *(s.explored for s in trace.steps if s.explored is not None)]
+    return [trace.start, *(s.explored for s in steps if s.explored is not None)]
+
+
+@dataclass(frozen=True)
+class GameStep:
+    """One step of a game's stream as ``play_game`` reports it to ``on_step``;
+    step 0 holds the deletions made before the first move."""
+
+    step: int
+    frm: int | None
+    to: int | None
+    deleted: tuple[Edge, ...]
+    events: tuple[dict, ...]
+
+    def as_json_obj(self) -> dict:
+        """The step's trace object as the game trace wrote it per step."""
+        return {
+            "step": self.step,
+            "from": self.frm,
+            "to": self.to,
+            "deleted": [list(e) for e in self.deleted],
+            "events": list(self.events),
+        }
+
+
+def play_recorded(agent, adv, graph: Graph, start: int,
+                  max_steps: int | None = None) -> tuple[GameTrace, list[GameStep]]:
+    """``play_game`` plus every record of its step stream, step 0 included."""
+    steps: list[GameStep] = []
+
+    def record(step, frm, to, deleted, events):
+        steps.append(GameStep(step, frm, to, tuple(deleted), tuple(events)))
+
+    return play_game(agent, adv, graph, start, max_steps, record), steps
+
+
+def run_recorded(graph: Graph, start: int, schedule: FailureSchedule | None = None,
+                 max_iterations: int | None = None) -> tuple[SimTrace, list[SimStep]]:
+    """``run_sim`` plus every record of its round stream, iteration 0 included."""
+    steps: list[SimStep] = []
+    return run_sim(graph, start, schedule, max_iterations, steps.append), steps
+
+
+def first_violation(check, steps: Sequence[SimStep]) -> str | None:
+    """The first violation an online checker reports over the records, or None."""
+    for step in steps:
+        verdict = check(step)
+        if verdict is not None:
+            return verdict
+    return None
+
+
+def game_lines_oracle(trace: GameTrace, steps: list[GameStep]) -> list[str]:
+    """A game's trace lines built per step with ``encode_line``, as the trace
+    was written before steps were streamed: the pre-run line from
+    ``pre_deleted``, each move, then the summary."""
+    lines = []
+    if trace.pre_deleted:
+        lines.append(encode_line({"step": 0, "deleted": [list(e) for e in trace.pre_deleted]}))
+    lines.extend(encode_line(s.as_json_obj()) for s in steps if s.step)
+    lines.append(encode_line({
+        "agent": trace.agent,
+        "adversary": trace.adversary,
+        "outcome": trace.outcome,
+        "steps": trace.step_count,
+        "visited": sorted(trace.visited),
+    }))
+    return lines
+
+
+def sim_lines_oracle(trace: SimTrace, steps: list[SimStep]) -> list[str]:
+    """A simulation's trace lines built per round with ``encode_line``, as the
+    trace was written before rounds were streamed."""
+    lines = []
+    if trace.pre_deleted:
+        lines.append(encode_line({"iter": 0, "deleted": [list(e) for e in trace.pre_deleted]}))
+    lines.extend(encode_line({
+        "iter": s.iteration,
+        "pos_before": s.pos_before,
+        "pos_after": s.pos_after,
+        "moved": s.moved,
+        "explored": s.explored,
+        "dist": list(s.dist),
+        "deleted": [list(e) for e in s.deleted],
+    }) for s in steps if s.iteration)
+    lines.append(encode_line({
+        "outcome": trace.outcome,
+        "iterations": trace.iterations,
+        "explored": trace.final.exp,
+        "visited": sorted(trace.visited()),
+    }))
+    return lines
 
 
 def validate_nn_traversal(c: CostFunction, order: Sequence[int]) -> int | None:

@@ -36,12 +36,14 @@ from nntrav.layered_ring import (
     vertex_count_formula,
 )
 from nntrav.nn import Scripted, lambda_profile, nn_traversal, nn_upper_bound, opt_traversal
-from nntrav.simulator import check_progress, check_r1_r2, iteration_budget, run_sim
+from nntrav.simulator import check_progress, check_r1_r2, iteration_budget
 from nntrav.tree import mst_cost, nn_tree, nnt_bound_check, shuffled_ranks
 from helpers import (
     explored_order,
+    first_violation,
     random_connected_graph,
     random_schedule,
+    run_recorded,
     unbounded_ratio_instance,
     validate_nn_traversal,
 )
@@ -154,11 +156,11 @@ def test_criterion_6_rounds_terminate_with_invariants():
             n = rng.randint(2, 60)
             g = random_connected_graph(rng, n)
             sched = random_schedule(rng, g)
-            trace = run_sim(g, rng.randrange(n), sched)
+            trace, steps = run_recorded(g, rng.randrange(n), sched)
             assert trace.outcome == "terminated"
             assert trace.iterations <= iteration_budget(n)
-            assert check_r1_r2(trace, g) is None
-            assert check_progress(trace) is None
+            assert first_violation(check_r1_r2(g), steps) is None
+            assert first_violation(check_progress(n), steps) is None
         assert time.perf_counter() - t0 < 120.0
 
 
@@ -168,10 +170,10 @@ def test_criterion_7_static_runs_are_greedy():
         for _ in range(100):
             n = rng.randint(2, 40)
             g = random_connected_graph(rng, n)
-            trace = run_sim(g, rng.randrange(n))
+            trace, steps = run_recorded(g, rng.randrange(n))
             assert trace.outcome == "terminated"
             assert validate_nn_traversal(
-                CostFunction.hop_metric(g), explored_order(trace)) is None
+                CostFunction.hop_metric(g), explored_order(trace, steps)) is None
 
 
 def test_criterion_8_clique_lower_bound():

@@ -232,6 +232,7 @@ MALFORMED = [
     ("simulate-schedule", {"deletions": [{"iter": 1, "edges": 5}]}),
     ("duel-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
     ("scripted-ties", [[1], 2]),
+    ("traverse", {"n": 2, "edges": [], "weights": [[0, 1, 9223372036854775808]]}),
 ]
 
 
@@ -302,8 +303,14 @@ def test_simulate_checks_run_only_for_the_summary(tmp_path, capsys, monkeypatch)
     import nntrav.simulator as simulator  # cmd_simulate imports the checks when it runs
 
     calls = []
-    monkeypatch.setattr(simulator, "check_r1_r2", lambda trace, graph: calls.append("r1_r2"))
-    monkeypatch.setattr(simulator, "check_progress", lambda trace: calls.append("progress"))
+    def checker(name):
+        def make(_):  # the online checkers take the graph or its node count
+            calls.append(name)
+            return lambda step: None
+        return make
+
+    monkeypatch.setattr(simulator, "check_r1_r2", checker("r1_r2"))
+    monkeypatch.setattr(simulator, "check_progress", checker("progress"))
     inst = tmp_path / "p.json"
     run(capsys, "generate", "path", "--n", "5", "--output", str(inst))
     rc, out, _ = run(capsys, "simulate", "--input", str(inst))

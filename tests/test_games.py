@@ -17,11 +17,12 @@ from nntrav.games import (
     growth_fit,
     killer_script,
     play_game,
+    trace_writer,
 )
 from nntrav.graph import Graph, GraphError, complete_graph, path_graph
 from nntrav.layered_ring import build_dfs_killer
 from nntrav.simulator import FailureSchedule
-from helpers import random_connected_graph
+from helpers import GameStep, play_recorded, random_connected_graph
 
 
 def binom2(n):
@@ -29,11 +30,11 @@ def binom2(n):
 
 
 def test_nn_walks_a_path_end_to_end():
-    trace = play_game(NnAgent(), NullAdversary(), path_graph(6), 0)
+    trace, steps = play_recorded(NnAgent(), NullAdversary(), path_graph(6), 0)
     assert trace.outcome == "halted"
     assert trace.step_count == 5
     assert trace.visited == set(range(6))
-    assert [s.to for s in trace.steps] == [1, 2, 3, 4, 5]
+    assert [s.to for s in steps] == [1, 2, 3, 4, 5]
 
 
 def test_nn_on_static_clique_needs_n_minus_1():
@@ -103,11 +104,12 @@ def test_budget_is_an_outcome_not_an_error():
 
 
 def test_clique_k4_realizes_the_exact_accounting():
-    trace = play_game(NnAgent(), CliqueAdversary(), complete_graph(4), 0)
+    trace, steps = play_recorded(NnAgent(), CliqueAdversary(), complete_graph(4), 0)
     assert trace.outcome == "halted"
     assert trace.step_count == 6
     assert clique_stage_lengths(trace) == [2, 1, 3]
-    kinds = [ev["kind"] for s in trace.steps for ev in s.events]
+    kinds = [ev["kind"] for s in steps for ev in s.events]
+    assert [ev["kind"] for ev in trace.events] == kinds
     # the final pair collapses immediately: the machine goes dormant mid-game
     assert kinds == ["phase-start", "z-pair", "phase-end", "phase-start", "dormant"]
 
@@ -142,9 +144,9 @@ def test_clique_adversary_preconditions():
 
 
 def test_clique_games_are_deterministic():
-    a = play_game(NnAgent(), CliqueAdversary(), complete_graph(6), 0)
-    b = play_game(NnAgent(), CliqueAdversary(), complete_graph(6), 0)
-    assert a.steps == b.steps and a.visited == b.visited
+    a = play_recorded(NnAgent(), CliqueAdversary(), complete_graph(6), 0)
+    b = play_recorded(NnAgent(), CliqueAdversary(), complete_graph(6), 0)
+    assert a[1] == b[1] and a[0] == b[0]
 
 
 def test_stage_lengths_need_phase_events():
@@ -157,18 +159,19 @@ def test_schedule_adversary_cuts_and_reroutes():
     # cutting (1,2) after the first step forces the nn walker back around
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     sched = FailureSchedule({1: ((1, 2),)})
-    trace = play_game(NnAgent(), ScheduleAdversary(sched), g, 0)
+    trace, steps = play_recorded(NnAgent(), ScheduleAdversary(sched), g, 0)
     assert trace.outcome == "halted"
-    assert trace.steps[0].deleted == ((1, 2),)
-    assert [s.to for s in trace.steps] == [1, 0, 3, 2]
+    assert steps[0].deleted == ((1, 2),)
+    assert [s.to for s in steps] == [1, 0, 3, 2]
 
 
 def test_schedule_adversary_pre_run_deletions():
     sched = FailureSchedule({0: ((0, 3),)})
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    trace = play_game(NnAgent(), ScheduleAdversary(sched), g, 0)
+    trace, steps = play_recorded(NnAgent(), ScheduleAdversary(sched), g, 0)
     assert trace.pre_deleted == ((0, 3),)
-    assert [s.to for s in trace.steps] == [1, 2, 3]
+    assert steps[0] == GameStep(0, None, None, ((0, 3),), ())
+    assert [s.to for s in steps[1:]] == [1, 2, 3]
 
 
 def test_deleting_a_missing_edge_is_an_error():
@@ -179,10 +182,11 @@ def test_deleting_a_missing_edge_is_an_error():
 
 def test_killer_numbers_on_the_smallest_trap():
     trap = build_dfs_killer(12)
-    trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, 4 * 12**3)
+    trace, steps = play_recorded(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0,
+                                 4 * 12**3)
     assert trace.outcome == "halted"
-    assert trace.step_count == 67
-    cuts = [e for s in trace.steps for e in s.deleted]
+    assert trace.step_count == 67 == len(steps)
+    cuts = [e for s in steps for e in s.deleted]
     assert cuts == [(1, 2), (1, 3), (9, 10), (2, 3), (9, 11)]
     assert all(e not in trap.tree_edges for e in cuts)
     assert trace.step_count > 2 * (12 - 1)  # strictly worse than the static walk
@@ -190,13 +194,14 @@ def test_killer_numbers_on_the_smallest_trap():
 
 def test_killer_script_replays_identically():
     trap = build_dfs_killer(12)
-    live = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, 4 * 12**3)
+    live = play_recorded(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, 4 * 12**3)
     script = killer_script(trap)
-    replay = play_game(DfsRestartAgent(), ScheduleAdversary(script), trap.graph, 0, 4 * 12**3)
-    assert [(s.frm, s.to, s.deleted) for s in replay.steps] == [
-        (s.frm, s.to, s.deleted) for s in live.steps
+    replay = play_recorded(DfsRestartAgent(), ScheduleAdversary(script), trap.graph, 0,
+                           4 * 12**3)
+    assert [(s.frm, s.to, s.deleted) for s in replay[1]] == [
+        (s.frm, s.to, s.deleted) for s in live[1]
     ]
-    assert replay.outcome == "halted"
+    assert replay[0].outcome == "halted"
 
 
 def test_killer_script_truncation_is_an_error():
@@ -248,8 +253,10 @@ def test_growth_fit_validation():
 def test_trace_json_lines():
     sched = FailureSchedule({0: ((0, 3),), 1: ((1, 2),)})
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    trace = play_game(NnAgent(), ScheduleAdversary(sched), g, 0)
-    lines = trace.to_json_lines()
+    out = []
+    trace = play_game(NnAgent(), ScheduleAdversary(sched), g, 0, on_step=trace_writer(out.append))
+    assert all(line.endswith("\n") for line in out)
+    lines = [*out, *(line + "\n" for line in trace.to_json_lines())]
     assert json.loads(lines[0]) == {"step": 0, "deleted": [[0, 3]]}
     summary = json.loads(lines[-1])
     assert summary["agent"] == "nn" and summary["adversary"] == "schedule"

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from nntrav.games import NnAgent
 from nntrav.graph import CostFunction, GraphError, UnreachableError, bfs_distances, nearest_of
-from nntrav.simulator import check_r1_r2, run_sim
+from nntrav.simulator import check_r1_r2
 
-from helpers import random_connected_graph, random_schedule
+from helpers import first_violation, random_connected_graph, random_schedule, run_recorded
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -43,15 +43,18 @@ def nn_decide_oracle(graph, visited, pos):
     return min(u for u in graph.adjacent(pos) if from_target[u] == dist - 1)
 
 
-def r1_r2_oracle(trace, graph):
-    """R1/R2 with a fresh multi-source BFS and a full scan every round."""
+def r1_r2_oracle(trace, steps, graph):
+    """R1/R2 over a run's recorded rounds, with a fresh multi-source BFS and a
+    full scan every round."""
     work = graph.copy()
     for u, v in trace.pre_deleted:
         work.delete_edge(u, v)
     prev = [0] * trace.n
     visited = [False] * trace.n
     visited[trace.start] = True
-    for step in trace.steps:
+    for step in steps:
+        if not step.iteration:  # the pre-run deletions, applied above
+            continue
         if step.explored is not None:
             visited[step.explored] = True
         for v in range(trace.n):
@@ -117,15 +120,16 @@ def test_nn_hop_matches_the_full_bfs_rule(n, seed, keep):
         assert NnAgent().decide(g, visited, pos) == nn_decide_oracle(g, visited, pos)
 
 
-def tampered(trace, rng):
-    """The trace with one label of one round set to another value."""
-    i = rng.randrange(len(trace.steps))
-    v = rng.randrange(trace.n)
-    dist = list(trace.steps[i].dist)
-    dist[v] = rng.choice([x for x in range(trace.n + 2) if x != dist[v]])
-    steps = list(trace.steps)
+def tampered(steps, n, rng):
+    """The recorded rounds with one label of one round set to another value."""
+    rounds = [i for i, s in enumerate(steps) if s.iteration]
+    i = rng.choice(rounds)
+    v = rng.randrange(n)
+    dist = list(steps[i].dist)
+    dist[v] = rng.choice([x for x in range(n + 2) if x != dist[v]])
+    steps = list(steps)
     steps[i] = dataclasses.replace(steps[i], dist=tuple(dist))
-    return dataclasses.replace(trace, steps=steps)
+    return steps
 
 
 @given(st.integers(2, 16), SEEDS)
@@ -133,11 +137,11 @@ def tampered(trace, rng):
 def test_r1_r2_matches_the_per_round_bfs_checker(n, seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
-    trace = run_sim(g, rng.randrange(n), random_schedule(rng, g))
-    assert check_r1_r2(trace, g) is None
-    assert r1_r2_oracle(trace, g) is None
-    bad = tampered(trace, rng)
-    assert check_r1_r2(bad, g) == r1_r2_oracle(bad, g)
+    trace, steps = run_recorded(g, rng.randrange(n), random_schedule(rng, g))
+    assert first_violation(check_r1_r2(g), steps) is None
+    assert r1_r2_oracle(trace, steps, g) is None
+    bad = tampered(steps, n, rng)
+    assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(trace, bad, g)
 
 
 def test_tampered_traces_reach_both_verdicts():
@@ -148,9 +152,9 @@ def test_tampered_traces_reach_both_verdicts():
         rng = random.Random(seed)
         n = rng.randint(2, 16)
         g = random_connected_graph(rng, n)
-        trace = run_sim(g, rng.randrange(n), random_schedule(rng, g))
-        bad = tampered(trace, rng)
-        got = check_r1_r2(bad, g)
-        assert got == r1_r2_oracle(bad, g)
+        trace, steps = run_recorded(g, rng.randrange(n), random_schedule(rng, g))
+        bad = tampered(steps, n, rng)
+        got = first_violation(check_r1_r2(g), bad)
+        assert got == r1_r2_oracle(trace, bad, g)
         kinds.add(got[:2] if got else None)
     assert kinds == {"R1", "R2", None}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,6 +89,13 @@ def test_lambda_profile_path_example():
     assert prof.total() == 4
     assert prof.counts.get(1, 0) == 3 and prof.counts.get(2, 0) == 1
     assert prof.counts.get(3, 0) == 0
+
+
+def test_lambda_profile_rejects_a_cost_past_the_index_range():
+    # a histogram of sys.maxsize + 1 slots cannot be built; the error names the cost
+    c = CostFunction.from_matrix([[0, sys.maxsize], [sys.maxsize, 0]])
+    with pytest.raises(GraphError, match=f"step cost {sys.maxsize} "):
+        lambda_profile([0, 1], c)
 
 
 def test_lambda_profile_single_step():

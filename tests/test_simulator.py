@@ -12,26 +12,29 @@ from nntrav.simulator import (
     ScheduleError,
     check_progress,
     check_r1_r2,
+    encode_line,
     iteration_budget,
     run_sim,
 )
 from helpers import (
     explored_order,
+    first_violation,
     random_connected_graph,
     random_schedule,
+    run_recorded,
     validate_nn_traversal,
 )
 
 
 def test_two_node_trace_frozen():
-    trace = run_sim(complete_graph(2), 0)
+    trace, steps = run_recorded(complete_graph(2), 0)
     assert trace.outcome == "terminated"
     assert trace.iterations == 4
-    assert [s.dist for s in trace.steps] == [(1, 0), (1, 1), (2, 2), (3, 3)]
-    assert [s.moved for s in trace.steps] == [True, False, False, False]
-    assert [s.explored for s in trace.steps] == [1, None, None, None]
+    assert [s.dist for s in steps] == [(1, 0), (1, 1), (2, 2), (3, 3)]
+    assert [s.moved for s in steps] == [True, False, False, False]
+    assert [s.explored for s in steps] == [1, None, None, None]
     assert trace.final.exp == 2
-    assert explored_order(trace) == [0, 1]
+    assert explored_order(trace, steps) == [0, 1]
 
 
 def test_single_node_stops_once_label_passes_count():
@@ -43,20 +46,21 @@ def test_single_node_stops_once_label_passes_count():
 
 def test_path_walk_explores_in_line_order():
     g = path_graph(6)
-    trace = run_sim(g, 0)
+    trace, steps = run_recorded(g, 0)
     assert trace.outcome == "terminated"
-    assert explored_order(trace) == [0, 1, 2, 3, 4, 5]
-    assert validate_nn_traversal(CostFunction.hop_metric(g), explored_order(trace)) is None
+    assert explored_order(trace, steps) == [0, 1, 2, 3, 4, 5]
+    assert validate_nn_traversal(CostFunction.hop_metric(g), explored_order(trace, steps)) is None
 
 
 def test_pre_run_deletion_isolates_start():
     sched = FailureSchedule({0: ((0, 1),)})
-    trace = run_sim(complete_graph(2), 0, sched)
+    trace, steps = run_recorded(complete_graph(2), 0, sched)
     assert trace.pre_deleted == ((0, 1),)
     assert trace.outcome == "terminated"
     assert trace.visited() == {0}
     assert trace.iterations == 2
-    first = json.loads(trace.to_json_lines()[0])
+    assert [s.iteration for s in steps] == [0, 1, 2]
+    first = json.loads(encode_line(steps[0].as_json_obj()))
     assert first == {"iter": 0, "deleted": [[0, 1]]}
 
 
@@ -64,28 +68,28 @@ def test_mid_run_deletion_strands_the_tail():
     # cutting (1,2) right after the first move leaves node 2 unreachable
     sched = FailureSchedule({1: ((1, 2),)})
     g = path_graph(3)
-    trace = run_sim(g, 0, sched)
-    assert trace.steps[0].deleted == ((1, 2),)
+    trace, steps = run_recorded(g, 0, sched)
+    assert steps[0].deleted == ((1, 2),)
     assert trace.outcome == "terminated"
     assert trace.visited() == {0, 1}
-    assert check_r1_r2(trace, g) is None
-    assert check_progress(trace) is None
+    assert first_violation(check_r1_r2(g), steps) is None
+    assert first_violation(check_progress(g.n), steps) is None
 
 
 def test_terminating_round_skips_its_deletions():
     # schedule far past termination: never applied, trace still clean
     g = complete_graph(2)
     sched = FailureSchedule({4: ((0, 1),)})
-    trace = run_sim(g, 0, sched)
+    trace, steps = run_recorded(g, 0, sched)
     assert trace.outcome == "terminated"
     assert trace.iterations == 4
-    assert trace.steps[-1].deleted == ()
+    assert steps[-1].deleted == ()
 
 
 def test_budget_exhaustion_is_an_outcome():
-    trace = run_sim(complete_graph(3), 0, max_iterations=1)
+    trace, steps = run_recorded(complete_graph(3), 0, max_iterations=1)
     assert trace.outcome == "budget-exhausted"
-    assert len(trace.steps) == 1
+    assert len(steps) == 1
 
 
 def test_iteration_budget():
@@ -119,9 +123,9 @@ def test_run_is_deterministic():
     rng = random.Random(17)
     g = random_connected_graph(rng, 9)
     sched = random_schedule(rng, g)
-    a = run_sim(g, 3, sched)
-    b = run_sim(g, 3, sched)
-    assert a.steps == b.steps
+    a, a_steps = run_recorded(g, 3, sched)
+    b, b_steps = run_recorded(g, 3, sched)
+    assert a_steps == b_steps
     assert a.final == b.final
     assert a.to_json_lines() == b.to_json_lines()
 
@@ -131,9 +135,9 @@ def test_static_run_mimics_greedy_traversal():
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(2, 12))
         start = rng.randrange(g.n)
-        trace = run_sim(g, start)
+        trace, steps = run_recorded(g, start)
         assert trace.outcome == "terminated"
-        order = explored_order(trace)
+        order = explored_order(trace, steps)
         hop = CostFunction.hop_metric(g)
         assert validate_nn_traversal(hop, order) is None
         # static termination: within 4*cost + n rounds
@@ -149,28 +153,28 @@ def test_invariants_hold_under_failures(n, seed):
     trace = run_sim(g, rng.randrange(n))
     assert trace.outcome == "terminated"
     assert trace.iterations <= iteration_budget(n)
-    trace = run_sim(g, rng.randrange(n), sched)
+    trace, steps = run_recorded(g, rng.randrange(n), sched)
     assert trace.outcome == "terminated"
     assert trace.iterations <= iteration_budget(n)
-    assert check_r1_r2(trace, g) is None
-    assert check_progress(trace) is None
+    assert first_violation(check_r1_r2(g), steps) is None
+    assert first_violation(check_progress(g.n), steps) is None
 
 
 def test_checkers_catch_corrupt_traces():
     g = complete_graph(2)
-    trace = run_sim(g, 0)
+    _, steps = run_recorded(g, 0)
 
     def tampered(i, dist):
-        steps = list(trace.steps)
-        steps[i] = dataclasses.replace(steps[i], dist=dist)
-        return dataclasses.replace(trace, steps=steps)
+        return [dataclasses.replace(s, dist=dist) if j == i else s for j, s in enumerate(steps)]
 
-    assert "R1 violated" in check_r1_r2(tampered(1, (0, 0)), g)
-    assert "R2 violated" in check_r1_r2(tampered(1, (1, 4)), g)
-    assert "no move and no dist increase" in check_progress(tampered(2, (1, 1)))
-    downhill = dataclasses.replace(trace.steps[0], dist=(0, 1))
-    broken = dataclasses.replace(trace, steps=[downhill] + trace.steps[1:])
-    assert "not downhill" in check_progress(broken)
+    assert first_violation(check_r1_r2(g), tampered(1, (0, 0))) == (
+        "R1 violated at iteration 2: dist[0] decreased 1 -> 0")
+    assert first_violation(check_r1_r2(g), tampered(1, (1, 4))) == (
+        "R2 violated at iteration 2: dist[1] = 4 exceeds true distance 3")
+    assert first_violation(check_progress(g.n), tampered(2, (1, 1))) == (
+        "no move and no dist increase at iteration 3")
+    assert first_violation(check_progress(g.n), tampered(0, (0, 1))) == (
+        "move at iteration 1 was not downhill: 0 -> 1")
 
 
 def test_invalid_start_raises():
@@ -179,8 +183,8 @@ def test_invalid_start_raises():
 
 
 def test_json_lines_shape():
-    trace = run_sim(complete_graph(3), 1)
-    lines = trace.to_json_lines()
+    trace, steps = run_recorded(complete_graph(3), 1)
+    lines = [*(encode_line(s.as_json_obj()) for s in steps), *trace.to_json_lines()]
     summary = json.loads(lines[-1])
     assert summary["outcome"] == "terminated"
     assert summary["visited"] == [0, 1, 2]
