@@ -37,17 +37,15 @@ from .graph import (
     validate_traversal,
 )
 from .nn import (
-    LowestId,
     OPT_ORACLE_LIMIT,
-    Scripted,
-    SeededRandom,
     aspect_ratio_bound,
     lambda_profile,
     nn_traversal,
     nn_upper_bound,
     opt_traversal,
+    scripted,
 )
-from .tree import identity_ranks, mst_cost, nn_tree, nnt_bound_check, shuffled_ranks
+from .tree import mst_cost, nn_tree, nnt_bound_check, shuffled_ranks
 
 if TYPE_CHECKING:
     from .games import Adversary
@@ -181,10 +179,12 @@ def _sidecar(path: str, obj: dict) -> dict:
 
 
 def _parse_ties(spec: str, seed: int):
+    """The tie-break ``nn_traversal`` takes: None for lowest id, else a
+    ``choose(tied) -> int`` function."""
     if spec == "lowest-id":
-        return LowestId()
+        return None
     if spec == "random":
-        return SeededRandom(seed)
+        return random.Random(seed).choice
     if spec.startswith("scripted:"):
         path = spec.split(":", 1)[1]
         obj = _read_json(path)
@@ -195,7 +195,7 @@ def _parse_ties(spec: str, seed: int):
             raise GraphError(
                 f"scripted ties file {path!r} must hold a list of node ids "
                 '(or {"preference": [...]} / {"scripted_ties": [...]})')
-        return Scripted(obj)
+        return scripted(obj)
     raise GraphError(f"unknown tie policy {spec!r}")
 
 
@@ -349,7 +349,7 @@ def cmd_traverse(args: argparse.Namespace) -> int:
     ties = _parse_ties(args.ties, seed)
     order = nn_traversal(cost, args.start, ties)
     profile = lambda_profile(order, cost)
-    total = profile.total()
+    total = sum(profile.values())
     violation = cost.triangle_violation()
     metric = violation is None
 
@@ -370,7 +370,7 @@ def cmd_traverse(args: argparse.Namespace) -> int:
         "ties": args.ties,
         "order": order,
         "cost": total,
-        "lambda": profile.as_json_obj(),
+        "lambda": {str(j): k for j, k in profile.items()},
         "metric": metric,
         "triangle_violation": list(violation) if violation else None,
         "opt": opt,
@@ -451,9 +451,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     graph, cost, _ = _load_instance(args.input)
     if cost.kind != "hop":
         raise GraphError("simulate runs on plain graphs, not explicit cost matrices")
-    schedule = FailureSchedule.empty()
-    if args.schedule:
-        schedule = FailureSchedule.from_json_obj(_read_json(args.schedule))
+    schedule = FailureSchedule.from_json_obj(_read_json(args.schedule)) if args.schedule else None
     checks = {}
     if args.output:  # without a trace file only the trace is printed, so skip its checks
         checks = {"r1_r2": check_r1_r2(graph), "progress": check_progress(graph.n)}
@@ -563,7 +561,8 @@ def cmd_duel(args: argparse.Namespace) -> int:
             bound = _duel_floor("clique", graph.n)
             summary["bound"] = bound
             summary["bound_ok"] = trace.step_count >= bound
-            summary["stages"] = clique_stage_lengths(trace)  # raises before the trace is kept
+            # a run that ends before phase 1 starts raised no event: one unfinished stage
+            summary["stages"] = clique_stage_lengths(trace) if trace.events else [trace.step_count]
         for line in trace.to_json_lines():
             write(line + "\n")
     return _trace_result(trace, summary if args.output else None)
@@ -576,12 +575,12 @@ def cmd_tree(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     graph, cost, _ = _load_instance(args.input)
     if args.ranks == "identity":
-        ranks = identity_ranks(cost.n)
+        ranks = list(range(cost.n))
     else:
         ranks = shuffled_ranks(cost.n, random.Random(split_seed(seed, "ranks")))
     tree = nn_tree(cost, ranks)
     mst, mst_edges = mst_cost(cost)
-    metric = cost.is_metric()
+    metric = cost.triangle_violation() is None
     report = {
         "n": cost.n,
         "ranks": list(ranks),
@@ -595,9 +594,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         "bound_ok": None,
     }
     if metric:
-        check = nnt_bound_check(cost.n, tree.total, mst)
-        report["budget"] = check.budget
-        report["bound_ok"] = check.ok
+        report["budget"], report["bound_ok"] = nnt_bound_check(cost.n, tree.total, mst)
     _write_json(args.output, report)
     return EXIT_OK
 

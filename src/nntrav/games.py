@@ -25,21 +25,6 @@ class GameError(GraphError):
     """Illegal move, illegal deletion, illegal halt, or broken precondition."""
 
 
-@dataclass(slots=True)
-class GameView:
-    """What the adversary sees after an agent move, before reacting.
-
-    ``play_game`` keeps one view per run and updates it in place after every
-    move, so an adversary reads it during ``react`` and keeps nothing of it.
-    """
-
-    graph: Graph
-    visited: frozenset[int]
-    pos: int
-    steps: int = 0
-    last_move: tuple[int, int] | None = None
-
-
 class AgentStrategy:
     name = "agent"
 
@@ -52,23 +37,24 @@ class AgentStrategy:
 
 
 class Adversary:
+    """Deletes edges after each agent move.  ``react`` appends its events (dicts
+    naming their step) to ``events``; ``play_game`` hands each step's new ones
+    to ``on_step``."""
+
     name = "adversary"
 
     def __init__(self) -> None:
-        self._events: list[dict] = []
+        self.events: list[dict] = []
 
     def reset(self, graph: Graph, start: int) -> list[Edge]:
         """Prepare for a run; returns edges to delete before the first move."""
-        self._events = []
+        self.events = []
         return []
 
-    def react(self, view: GameView) -> list[Edge]:
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
+        """Edges to delete after move ``step``, ``frm`` -> ``to``.  ``graph`` and
+        ``visited`` (which holds ``to``) are the game's own: read, never change."""
         return []
-
-    def pop_events(self) -> list[dict]:
-        out = self._events
-        self._events = []
-        return out
 
 
 @dataclass
@@ -129,6 +115,8 @@ def play_game(
     if not 0 <= start < graph.n:
         raise GraphError(f"start {start} out of range for {graph.n} nodes")
     budget = game_budget(graph.n) if max_steps is None else max_steps
+    if budget < 0:
+        raise GraphError(f"step budget must be >= 0, got {budget}")
     work = graph.copy()
     agent.reset(work, start)
     pre = tuple(normalize_edge(u, v) for u, v in adv.reset(work, start))
@@ -138,10 +126,7 @@ def play_game(
         on_step(0, None, None, pre, ())
     adj = work.adjacency
     visited = {start}
-    # the adversary's copy of the visited set is rebuilt only when a node is new
-    view = GameView(work, frozenset(visited), start)
-    decide, react, pop_events = agent.decide, adv.react, adv.pop_events
-    events: list[dict] = []
+    decide, react, events = agent.decide, adv.react, adv.events
     pos = start
     step = 0
     outcome = "budget-exhausted"
@@ -158,20 +143,15 @@ def play_game(
             raise GameError(f"illegal move {pos} -> {move!r}: nodes not adjacent")
         frm, pos = pos, move
         step += 1
-        if pos not in visited:
-            visited.add(pos)
-            view.visited = frozenset(visited)
-        view.pos, view.steps, view.last_move = pos, step, (frm, pos)
+        visited.add(pos)
+        seen = len(events)
         cuts = []
-        for u, v in react(view):
+        for u, v in react(work, visited, step, frm, pos):
             e = normalize_edge(u, v)
             work.delete_edge(u, v)  # raises if the edge does not exist
             cuts.append(e)
-        new = pop_events()
-        if new:
-            events.extend(new)
         if on_step is not None:
-            on_step(step, frm, pos, cuts, new)
+            on_step(step, frm, pos, cuts, events[seen:])
     return GameTrace(graph.n, start, agent.name, adv.name, pre, step, outcome, visited, events)
 
 
@@ -285,8 +265,8 @@ class ScheduleAdversary(Adversary):
         super().reset(graph, start)
         return list(self.schedule.edges_at(0))
 
-    def react(self, view: GameView) -> list[Edge]:
-        return list(self.schedule.edges_at(view.steps))
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
+        return list(self.schedule.edges_at(step))
 
 
 class CliqueAdversary(Adversary):
@@ -332,51 +312,48 @@ class CliqueAdversary(Adversary):
         elif len(live) == 2:
             self.phase = "zwait"
             self.zpair = set(live)
-            self._events.append(
+            self.events.append(
                 {"kind": "z-pair", "phase": self.phase_index, "pair": sorted(live), "step": step})
         else:
             self.phase = "dormant"
-            self._events.append({"kind": "dormant", "phase": self.phase_index, "step": step})
+            self.events.append({"kind": "dormant", "phase": self.phase_index, "step": step})
 
-    def react(self, view: GameView) -> list[Edge]:
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
         if self.phase == "dormant":
             return []
+        adj = graph.adjacency
         if self.phase == "wait":
-            if len(view.visited) < view.graph.n - 1:
+            if len(visited) < graph.n - 1:
                 return []
-            v = view.pos
-            (x1,) = set(range(view.graph.n)) - view.visited
+            (x1,) = set(range(graph.n)) - visited
             self.x = x1
             self.phase_index = 1
-            self._events.append(
-                {"kind": "phase-start", "phase": 1, "x": x1, "step": view.steps})
-            live = set(view.graph.adjacent(x1)) - {v}
-            self._normalize(live, view.steps)
-            return [(v, x1)]
-        y = view.pos
+            self.events.append(
+                {"kind": "phase-start", "phase": 1, "x": x1, "step": step})
+            self._normalize(adj[x1] - {to}, step)
+            return [(to, x1)]
         if self.phase == "cutting":
-            if y != self.prev_x and view.graph.has_edge(y, self.x):
-                live = set(view.graph.adjacent(self.x)) - {y}
+            if to != self.prev_x and self.x in adj[to]:
+                live = adj[self.x] - {to}
                 live.discard(self.prev_x)
-                self._normalize(live, view.steps)
-                return [(y, self.x)]
+                self._normalize(live, step)
+                return [(to, self.x)]
             return []
         # zwait: the first of the final pair the agent reaches gets cut off.
-        if y in self.zpair:
-            z = y
-            (z_prime,) = self.zpair - {y}
+        if to in self.zpair:
+            z = to
+            (z_prime,) = self.zpair - {to}
             old_x = self.x
-            self._events.append({
+            self.events.append({
                 "kind": "phase-end", "phase": self.phase_index,
-                "z": z, "z_prime": z_prime, "step": view.steps,
+                "z": z, "z_prime": z_prime, "step": step,
             })
             self.prev_x = old_x
             self.x = z_prime
             self.phase_index += 1
-            self._events.append(
-                {"kind": "phase-start", "phase": self.phase_index, "x": z_prime, "step": view.steps})
-            live = set(view.graph.adjacent(z_prime)) - {z, old_x}
-            self._normalize(live, view.steps)
+            self.events.append(
+                {"kind": "phase-start", "phase": self.phase_index, "x": z_prime, "step": step})
+            self._normalize(adj[z_prime] - {z, old_x}, step)
             return [(old_x, z), (z, z_prime)]
         return []
 
@@ -409,11 +386,10 @@ class KillerAdversary(Adversary):
         self._last_cut_attempt = 0
         return []
 
-    def react(self, view: GameView) -> list[Edge]:
-        frm, to = view.last_move
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
         # The graph is unchanged since the agent decided (only we delete edges),
         # so the replica sees exactly what the agent saw.
-        predicted = self.shadow.decide(view.graph, view.visited, frm)
+        predicted = self.shadow.decide(graph, visited, frm)
         if predicted != to:
             raise GameError("killer adversary requires the restarting-DFS agent")
         if self.shadow.last_kind == "forward":

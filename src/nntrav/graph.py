@@ -91,18 +91,12 @@ class Graph:
         self._check_node(v)
         return v in self._adj[u]
 
-    def adjacent(self, v: int) -> set[int]:
-        """Neighbor set of ``v``.  Treat the returned set as read-only."""
-        self._check_node(v)
-        return self._adj[v]
-
     @property
     def adjacency(self) -> list[set[int]]:
         """Every neighbor set, indexed by node id.  Read-only.
 
-        The ids were validated when the graph was built, so inner loops that
-        index it by ids they already trust skip the per-call check of
-        :meth:`adjacent`; deletions show through the same sets.
+        Index it only with ids already known valid: it checks none.
+        Deletions show through the same sets.
         """
         return self._adj
 
@@ -327,9 +321,6 @@ class CostFunction:
         if self._violation is _UNSCANNED:
             self._violation = check_triangle(self)
         return self._violation
-
-    def is_metric(self) -> bool:
-        return self.triangle_violation() is None
 
     def pair_cost_extremes(self) -> tuple[int, int]:
         """(min, max) cost over distinct pairs."""

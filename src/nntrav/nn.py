@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-import random
 import sys
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import (
     CostFunction,
@@ -21,52 +20,25 @@ from .graph import (
 OPT_ORACLE_LIMIT = 13
 
 
-# --- tie-breaking policies --------------------------------------------------
+# --- tie-breaking ------------------------------------------------------------
 
 
-class TieBreak:
-    """Chooses one node from a nonempty ascending list of equally-near candidates."""
-
-    def choose(self, tied: list[int]) -> int:
-        raise NotImplementedError
-
-
-class LowestId(TieBreak):
-    def choose(self, tied: list[int]) -> int:
-        return tied[0]
-
-
-class SeededRandom(TieBreak):
-    """Uniform choice among tied candidates, reproducible from the seed."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def choose(self, tied: list[int]) -> int:
-        return self._rng.choice(tied)
-
-
-class Scripted(TieBreak):
-    """Break every tie toward the candidate appearing earliest in a preference order.
+def scripted(preference: Sequence[int]) -> Callable[[list[int]], int]:
+    """A tie-break that picks the tied candidate appearing earliest in ``preference``.
 
     A full intended traversal works directly as the preference order: if that
     traversal is greedy at every step, replaying it through the greedy walk
     reproduces it exactly.
     """
+    pos = {v: i for i, v in enumerate(preference)}
 
-    def __init__(self, preference: Sequence[int]):
-        self.preference = list(preference)
-        self._pos = {v: i for i, v in enumerate(self.preference)}
-
-    def choose(self, tied: list[int]) -> int:
-        best = None
-        for v in tied:
-            i = self._pos.get(v)
-            if i is not None and (best is None or i < best[0]):
-                best = (i, v)
-        if best is None:
+    def choose(tied: list[int]) -> int:
+        ranked = [v for v in tied if v in pos]
+        if not ranked:
             raise GraphError(f"scripted preference names none of the tied nodes {tied}")
-        return best[1]
+        return min(ranked, key=pos.__getitem__)
+
+    return choose
 
 
 # --- greedy traversal -------------------------------------------------------
@@ -93,18 +65,22 @@ def _nearest_unvisited(c: CostFunction, pos: int, unvisited: set[int]) -> tuple[
     return best, tied
 
 
-def nn_traversal(c: CostFunction, start: int, tie_break: TieBreak | None = None) -> list[int]:
-    """Greedy traversal: repeatedly move to a nearest unvisited node."""
+def nn_traversal(c: CostFunction, start: int,
+                 tie_break: Callable[[list[int]], int] | None = None) -> list[int]:
+    """Greedy traversal: repeatedly move to a nearest unvisited node.
+
+    ``tie_break(tied)`` picks among equally-near candidates, given in
+    ascending order; without one the lowest id wins.
+    """
     if not 0 <= start < c.n:
         raise GraphError(f"invalid start node {start}")
-    tb = tie_break if tie_break is not None else LowestId()
     order = [start]
     unvisited = set(range(c.n))
     unvisited.discard(start)
     pos = start
     while unvisited:
         _, tied = _nearest_unvisited(c, pos, unvisited)
-        pos = tied[0] if len(tied) == 1 else tb.choose(tied)
+        pos = tied[0] if len(tied) == 1 or tie_break is None else tie_break(tied)
         order.append(pos)
         unvisited.discard(pos)
     return order
@@ -113,23 +89,9 @@ def nn_traversal(c: CostFunction, start: int, tie_break: TieBreak | None = None)
 # --- step-cost profile ------------------------------------------------------
 
 
-class LambdaProfile:
-    """Sparse counts: ``counts[j]`` = number of steps of cost >= j, for j >= 1."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: dict[int, int]):
-        self.counts = counts
-
-    def total(self) -> int:
-        """Equals the traversal cost: summing level counts integrates step costs."""
-        return sum(self.counts.values())
-
-    def as_json_obj(self) -> dict[str, int]:
-        return {str(j): self.counts[j] for j in sorted(self.counts)}
-
-
-def lambda_profile(order: Sequence[int], c: CostFunction) -> LambdaProfile:
+def lambda_profile(order: Sequence[int], c: CostFunction) -> dict[int, int]:
+    """``{j: steps of cost >= j}`` for each level j >= 1, ascending.  Summing
+    the counts integrates the step costs, so the sum is the traversal cost."""
     validate_traversal(order, c.n)
     steps = [c.cost(order[i], order[i + 1]) for i in range(len(order) - 1)]
     top = max(steps, default=0)
@@ -141,7 +103,7 @@ def lambda_profile(order: Sequence[int], c: CostFunction) -> LambdaProfile:
     # suffix sums from the largest cost down: steps of cost >= top, top - 1, ..., 0
     at_least = [*accumulate(reversed(hist))]
     at_least.pop()  # cost >= 0 counts every step and is no level
-    return LambdaProfile(dict(zip(range(1, top + 1), reversed(at_least))))
+    return dict(zip(range(1, top + 1), reversed(at_least)))
 
 
 # --- exact optimum (small instances) ----------------------------------------

@@ -57,10 +57,6 @@ class FailureSchedule:
         object.__setattr__(self, "deletions", cleaned)
 
     @classmethod
-    def empty(cls) -> FailureSchedule:
-        return cls({})
-
-    @classmethod
     def from_json_obj(cls, obj: object) -> FailureSchedule:
         if not isinstance(obj, dict) or not isinstance(obj.get("deletions"), list):
             raise ScheduleError('schedule JSON must be {"deletions": [...]}')
@@ -236,8 +232,10 @@ def run_sim(
     """
     if not 0 <= start < graph.n:
         raise GraphError(f"start {start} out of range for {graph.n} nodes")
-    schedule = schedule or FailureSchedule.empty()
+    schedule = schedule or FailureSchedule()
     budget = iteration_budget(graph.n) if max_iterations is None else max_iterations
+    if budget < 0:
+        raise GraphError(f"iteration budget must be >= 0, got {budget}")
     work = graph.copy()
     pre = schedule.edges_at(0)
     for u, v in pre:

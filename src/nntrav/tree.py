@@ -18,10 +18,6 @@ def validate_ranks(ranks, n: int) -> None:
         raise GraphError(f"ranks must be a bijection onto 0..{n - 1}, got {list(ranks)!r}")
 
 
-def identity_ranks(n: int) -> list[int]:
-    return list(range(n))
-
-
 def shuffled_ranks(n: int, rng) -> list[int]:
     ranks = list(range(n))
     rng.shuffle(ranks)
@@ -90,21 +86,12 @@ def mst_cost(c: CostFunction) -> tuple[int, list[Edge]]:
     return total, sorted(edges)
 
 
-class BoundReport:
-    __slots__ = ("tree_cost", "mst", "budget", "ok")
-
-    def __init__(self, tree_cost: int, mst: int, budget: int, ok: bool):
-        self.tree_cost = tree_cost
-        self.mst = mst
-        self.budget = budget
-        self.ok = ok
-
-
-def nnt_bound_check(n: int, tree_total: int, mst: int) -> BoundReport:
-    """Check rank-greedy tree cost <= ceil(2·(1 + ln n)·MST), given the tree's
-    total (:func:`nn_tree`) and the MST cost (:func:`mst_cost`).  The bound is
-    claimed only for metric costs; the caller checks that."""
+def nnt_bound_check(n: int, tree_total: int, mst: int) -> tuple[int, bool]:
+    """(budget, ok): the budget ceil(2·(1 + ln n)·MST) and whether the
+    rank-greedy tree's total (:func:`nn_tree`) stays within it, given the MST
+    cost (:func:`mst_cost`).  The bound is claimed only for metric costs; the
+    caller checks that."""
     if n < 1:
         raise GraphError(f"bound needs n >= 1, got {n}")
     budget = math.ceil(2 * (1 + math.log(n)) * mst)
-    return BoundReport(tree_total, mst, budget, tree_total <= budget)
+    return budget, tree_total <= budget

@@ -35,7 +35,7 @@ from nntrav.layered_ring import (
     pad_to_n,
     vertex_count_formula,
 )
-from nntrav.nn import Scripted, lambda_profile, nn_traversal, nn_upper_bound, opt_traversal
+from nntrav.nn import lambda_profile, nn_traversal, nn_upper_bound, opt_traversal, scripted
 from nntrav.simulator import check_progress, check_r1_r2, iteration_budget
 from nntrav.tree import mst_cost, nn_tree, nnt_bound_check, shuffled_ranks
 from helpers import (
@@ -132,9 +132,9 @@ def test_criterion_4_step_profile_accounting():
             for start in range(c.n):
                 order = nn_traversal(c, start)
                 prof = lambda_profile(order, c)
-                assert prof.total() == cost_of(order, c)
-                assert max(prof.counts, default=0) <= opt
-                for j, cnt in prof.counts.items():
+                assert sum(prof.values()) == cost_of(order, c)
+                assert max(prof, default=0) <= opt
+                for j, cnt in prof.items():
                     assert cnt <= opt // j
 
 
@@ -143,7 +143,7 @@ def test_criterion_5_four_point_reproduction():
         c = unbounded_ratio_instance(10)
         opt, _ = opt_traversal(c)
         assert opt == 5
-        order = nn_traversal(c, 3, Scripted([3, 2, 0, 1]))
+        order = nn_traversal(c, 3, scripted([3, 2, 0, 1]))
         assert cost_of(order, c) == 13  # x + 3
         assert check_triangle(c) == (0, 2, 1)
 
@@ -212,18 +212,18 @@ def test_criterion_10_rank_tree_bound():
             n = rng.randint(2, 12)
             c = random_metric_cost(n, rng)
             ranks = shuffled_ranks(n, rng)
-            assert c.is_metric()
+            assert c.triangle_violation() is None
             tree = nn_tree(c, ranks)
-            report = nnt_bound_check(n, tree.total, mst_cost(c)[0])
-            assert report.ok
+            mst = mst_cost(c)[0]
+            budget, ok = nnt_bound_check(n, tree.total, mst)
+            assert ok
             assert len(tree.edges) == n - 1
             seen = {tree.root}
             for v, w in sorted(tree.attach.items(), key=lambda it: -ranks[it[0]]):
                 assert ranks[w] > ranks[v]
                 assert w in seen  # parents always rank higher: no cycles
                 seen.add(v)
-            assert report.tree_cost <= report.budget == math.ceil(
-                2 * (1 + math.log(n)) * report.mst)
+            assert tree.total <= budget == math.ceil(2 * (1 + math.log(n)) * mst)
 
 
 def test_criterion_11_ratio_floor_at_desk_scale():

@@ -227,6 +227,7 @@ MALFORMED = [
     ("bench", _duel_row(n="6")),
     ("bench", _duel_row(start="0")),
     ("bench", _duel_row(budget="9")),
+    ("bench", _duel_row(budget=-1)),
     ("bench", {"rows": [{"kind": "random-metric", "n": True}]}),
     ("simulate-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
     ("simulate-schedule", {"deletions": [{"iter": 1, "edges": 5}]}),
@@ -290,6 +291,20 @@ def test_simulate_budget_exit_3(tmp_path, capsys):
     rc, out, _ = run(capsys, "simulate", "--input", str(inst), "--budget", "1")
     assert rc == EXIT_BUDGET
     assert last_json_line(out)["outcome"] == "budget-exhausted"
+
+
+def test_simulate_negative_budget_exits_2(tmp_path, capsys):
+    inst = tmp_path / "p.json"
+    run(capsys, "generate", "path", "--n", "6", "--output", str(inst))
+    trace_file = tmp_path / "trace.jsonl"
+    rc, out, err = run(capsys, "simulate", "--input", str(inst), "--budget", "-1",
+                       "--output", str(trace_file))
+    assert rc == EXIT_VALIDATION and "got -1" in err
+    assert out == "" and not trace_file.exists()
+    rc, out, _ = run(capsys, "simulate", "--input", str(inst), "--budget", "0")
+    assert rc == EXIT_BUDGET
+    assert last_json_line(out) == {"outcome": "budget-exhausted", "iterations": 0,
+                                   "explored": 1, "visited": [0]}
 
 
 def test_simulate_rejects_matrix_instances(tmp_path, capsys):
@@ -398,6 +413,18 @@ def test_duel_budget_exhaustion_exit_3(capsys):
                      "--budget", "100")
     assert rc == EXIT_BUDGET
     assert last_json_line(out)["outcome"] == "budget-exhausted"
+
+
+def test_duel_negative_budget_exits_2(tmp_path, capsys):
+    trace_file = tmp_path / "trace.jsonl"
+    rc, out, err = run(capsys, "duel", "nn", "clique", "--n", "6", "--budget", "-1",
+                       "--output", str(trace_file))
+    assert rc == EXIT_VALIDATION and "got -1" in err
+    assert out == "" and not trace_file.exists()
+    rc, out, _ = run(capsys, "duel", "nn", "clique", "--n", "6", "--budget", "0")
+    assert rc == EXIT_BUDGET
+    assert last_json_line(out)["outcome"] == "budget-exhausted"
+    assert last_json_line(out)["steps"] == 0
 
 
 def test_duel_schedule_adversary(tmp_path, capsys):

@@ -155,6 +155,41 @@ def test_stage_lengths_need_phase_events():
         clique_stage_lengths(trace)
 
 
+class RecordingAdversary(CliqueAdversary):
+    """The clique adversary, checking what ``play_game`` hands it on every
+    call and raising one event of its own per step."""
+
+    name = "recording"
+
+    def reset(self, graph, start):
+        self.calls = []
+        self.seen = {start}
+        return super().reset(graph, start)
+
+    def react(self, graph, visited, step, frm, to):
+        assert step == len(self.calls) + 1
+        assert to in graph.adjacency[frm]  # nothing is cut before the adversary reacts
+        self.seen.add(to)
+        assert to in visited and visited == self.seen
+        self.calls.append((step, frm, to))
+        self.events.append({"kind": "seen", "step": step})
+        return super().react(graph, visited, step, frm, to)
+
+
+def test_adversary_sees_each_move_as_on_step_reports_it():
+    adv = RecordingAdversary()
+    trace, steps = play_recorded(NnAgent(), adv, complete_graph(6), 0)
+    assert trace.outcome == "halted" and steps[0].step == 1
+    assert sum(len(s.deleted) for s in steps) >= 5  # the game cuts edges
+    assert [(s.step, s.frm, s.to) for s in steps] == adv.calls
+    assert [c[0] for c in adv.calls] == list(range(1, trace.step_count + 1))
+    for s in steps:
+        # the adversary's own event and the clique's reach on_step at their step
+        assert s.events[0] == {"kind": "seen", "step": s.step}
+        assert all(ev["step"] == s.step for ev in s.events)
+    assert [ev for s in steps for ev in s.events] == trace.events
+
+
 def test_schedule_adversary_cuts_and_reroutes():
     # cutting (1,2) after the first step forces the nn walker back around
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

@@ -58,6 +58,8 @@ CASES: dict[str, list[str]] = {
                           "--output", TRACE],
     "simulate-no-output": ["simulate", "--input", "ring.json", "--schedule", "sched.json"],
     "duel-clique": ["duel", "nn", "clique", "--n", "6", "--output", TRACE],
+    "duel-clique-budget": ["duel", "nn", "clique", "--n", "6", "--budget", "2",
+                           "--output", TRACE],
     "duel-killer": ["duel", "dfs-restart", "killer", "--n", "12", "--output", TRACE],
     "duel-killer-input": ["duel", "dfs-restart", "killer", "--input", "killer.json",
                           "--budget", "6912", "--output", TRACE],

@@ -32,8 +32,8 @@ def test_graph_basics():
     assert g.edge_count == 3
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert len(g.adjacent(1)) == 2
-    assert g.adjacent(1) == {0, 2}
+    assert len(g.adjacency[1]) == 2
+    assert g.adjacency[1] == {0, 2}
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -120,7 +120,7 @@ def test_hop_metric_vs_closure_agree():
         hop = CostFunction.hop_metric(g)
         closed = metric_closure(g)
         assert hop.as_matrix() == closed.as_matrix()
-        assert closed.is_metric()
+        assert closed.triangle_violation() is None
 
 
 def test_hop_metric_requires_graph():
@@ -149,13 +149,13 @@ def test_check_triangle_finds_least_violation():
     c = unbounded_ratio_instance(10)
     # c(0,1)=10 > c(0,2)+c(2,1)=4: reported as (u, w, v) with w the witness
     assert check_triangle(c) == (0, 2, 1)
-    assert not c.is_metric()
+    assert c.triangle_violation() is not None
     assert check_triangle(metric_closure(path_graph(4))) is None
 
 
 def test_unbounded_ratio_instance_is_metric_for_small_x():
-    assert unbounded_ratio_instance(4).is_metric()
-    assert not unbounded_ratio_instance(5).is_metric()
+    assert unbounded_ratio_instance(4).triangle_violation() is None
+    assert unbounded_ratio_instance(5).triangle_violation() is not None
     with pytest.raises(GraphError):
         unbounded_ratio_instance(-1)
 
@@ -186,7 +186,7 @@ def test_cost_of():
 @settings(max_examples=60, deadline=None)
 def test_random_metric_cost_is_metric(n, seed):
     c = random_metric_cost(n, random.Random(seed))
-    assert c.is_metric()
+    assert c.triangle_violation() is None
     mat = c.as_matrix()
     lo, hi = c.pair_cost_extremes()
     assert 1 <= lo <= hi <= 9

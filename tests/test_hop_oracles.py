@@ -40,7 +40,7 @@ def nn_decide_oracle(graph, visited, pos):
     if dist == 1:
         return target
     from_target = bfs_distances(graph, target)
-    return min(u for u in graph.adjacent(pos) if from_target[u] == dist - 1)
+    return min(u for u in graph.adjacency[pos] if from_target[u] == dist - 1)
 
 
 def r1_r2_oracle(trace, steps, graph):

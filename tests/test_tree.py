@@ -18,7 +18,6 @@ from nntrav.graph import (
     random_metric_cost,
 )
 from nntrav.tree import (
-    identity_ranks,
     mst_cost,
     nn_tree,
     nnt_bound_check,
@@ -31,7 +30,6 @@ STAR4 = metric_closure(Graph(4, [(0, 1), (0, 2), (0, 3)]))
 
 
 def test_rank_helpers():
-    assert identity_ranks(4) == [0, 1, 2, 3]
     ranks = shuffled_ranks(20, random.Random(3))
     validate_ranks(ranks, 20)
     assert sorted(ranks) == list(range(20))
@@ -42,7 +40,7 @@ def test_rank_helpers():
 
 def test_star_chain_example():
     # on the star's closure, identity ranks chain the leaves together
-    tree = nn_tree(STAR4, identity_ranks(4))
+    tree = nn_tree(STAR4, list(range(4)))
     assert tree.edges == [(0, 1), (1, 2), (2, 3)]
     assert tree.total == 5
     assert tree.root == 3
@@ -50,14 +48,13 @@ def test_star_chain_example():
     mst, edges = mst_cost(STAR4)
     assert mst == 3
     assert edges == [(0, 1), (0, 2), (0, 3)]
-    report = nnt_bound_check(4, tree.total, mst)
-    assert (report.tree_cost, report.mst, report.budget, report.ok) == (5, 3, 15, True)
-    assert not nnt_bound_check(4, 16, 3).ok  # one past the budget
+    assert nnt_bound_check(4, tree.total, mst) == (15, True)
+    assert nnt_bound_check(4, 16, 3) == (15, False)  # one past the budget
 
 
 def test_path_identity_ranks_recover_the_path():
     c = metric_closure(path_graph(4))
-    tree = nn_tree(c, identity_ranks(4))
+    tree = nn_tree(c, list(range(4)))
     assert tree.edges == [(0, 1), (1, 2), (2, 3)]
     assert tree.total == 3 == mst_cost(c)[0]
 
@@ -104,11 +101,12 @@ def test_tree_structure_and_greedy_choice(n, seed):
 def test_mst_is_a_lower_bound_and_budget_holds(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
-    assert c.is_metric()
-    report = nnt_bound_check(n, nn_tree(c, shuffled_ranks(n, rng)).total, mst_cost(c)[0])
-    assert report.mst <= report.tree_cost <= report.budget
-    assert report.budget == math.ceil(2 * (1 + math.log(n)) * report.mst)
-    assert report.ok
+    assert c.triangle_violation() is None
+    total, mst = nn_tree(c, shuffled_ranks(n, rng)).total, mst_cost(c)[0]
+    budget, ok = nnt_bound_check(n, total, mst)
+    assert mst <= total <= budget
+    assert budget == math.ceil(2 * (1 + math.log(n)) * mst)
+    assert ok
 
 
 def test_mst_matches_exhaustive_minimum():
@@ -151,8 +149,9 @@ def test_bound_check_rejects_non_metric_costs(tmp_path, monkeypatch, capsys):
     assert cli.main(["tree", "--input", str(inst)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["metric"] is False and rep["budget"] is None and rep["bound_ok"] is None
+    assert rep["ranks"] == [0, 1, 2, 3]  # the default identity ranks
     # the tree itself is still constructible without the bound claim
-    tree = nn_tree(c, identity_ranks(4))
+    tree = nn_tree(c, list(range(4)))
     _assert_spanning_tree(tree, 4)
 
 
@@ -161,7 +160,6 @@ def test_single_node_degenerates_cleanly():
     tree = nn_tree(c, [0])
     assert tree.edges == [] and tree.total == 0 and tree.root == 0
     assert mst_cost(c) == (0, [])
-    report = nnt_bound_check(1, tree.total, 0)
-    assert report.ok and report.budget == 0
+    assert nnt_bound_check(1, tree.total, 0) == (0, True)
     with pytest.raises(GraphError):
         nnt_bound_check(0, 0, 0)
