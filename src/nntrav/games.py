@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable
 
-from .graph import Edge, Graph, GraphError, bfs_levels, nearest_of, normalize_edge
+from .graph import Edge, Graph, GraphError, bit_levels, neighbors_of, normalize_edge
 from .layered_ring import DfsTrap
 from .simulator import FailureSchedule, encode_line
 
@@ -181,23 +180,33 @@ class NnAgent(AgentStrategy):
 
     Both the target and the hop break ties by lowest id; everything is
     recomputed from the current graph every step, so deletions reroute it.
-    The hop is found by a BFS from the target that stops at radius d − 1,
-    where d is the walker's distance to it.
+    One bitset BFS from the walker stops at the first level holding an
+    unvisited node; the target is the lowest such id.  Walking back from it
+    through the BFS levels keeps, at each distance, the nodes on a shortest
+    path to the target; at distance 1 the lowest id is the hop.
     """
 
     name = "nn"
+    unvisited = 0  # bitset, set by reset
+
+    def reset(self, graph: Graph, start: int) -> None:
+        self.unvisited = ((1 << graph.n) - 1) ^ (1 << start)
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
-        unvisited = set(range(graph.n)) - visited
-        found = nearest_of(graph, pos, unvisited)
-        if found is None:
+        self.unvisited &= ~(1 << pos)
+        levels = []
+        for level in bit_levels(graph, pos):
+            hits = level & self.unvisited
+            if hits:
+                break
+            levels.append(level)
+        else:
             return None
-        dist, tied = found
-        target = tied[0]
-        if dist == 1:
-            return target
-        ring = next(islice(bfs_levels(graph, (target,)), dist - 1, None))
-        return min(graph.adjacency[pos].intersection(ring))
+        masks = graph.masks
+        back = hits & -hits
+        for level in reversed(levels[1:]):
+            back = neighbors_of(masks, back) & level
+        return (back & -back).bit_length() - 1
 
 
 class DfsRestartAgent(AgentStrategy):
@@ -213,35 +222,35 @@ class DfsRestartAgent(AgentStrategy):
 
     def __init__(self) -> None:
         self.stack: list[int] = []
-        self.seen: set[int] = set()
+        self.seen = 0  # bitset of the nodes the current search has reached
         self.attempt = 1
         self.last_kind: str | None = None
 
     def reset(self, graph: Graph, start: int) -> None:
         self.stack = []
-        self.seen = {start}
+        self.seen = 1 << start
         self.attempt = 1
         self.last_kind = None
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
-        adj = graph.adjacency
+        masks = graph.masks
         while True:
-            fresh = adj[pos] - self.seen
+            fresh = masks[pos] & ~self.seen
             if fresh:
-                nxt = min(fresh)
+                low = fresh & -fresh
                 self.stack.append(pos)
-                self.seen.add(nxt)
+                self.seen |= low
                 self.last_kind = "forward"
-                return nxt
+                return low.bit_length() - 1
             if self.stack:
                 parent = self.stack[-1]
-                if parent in adj[pos]:
+                if masks[pos] >> parent & 1:
                     self.stack.pop()
                     self.last_kind = "backtrack"
                     return parent
                 # Stack edge gone: forget everything, search anew from here.
                 self.stack = []
-                self.seen = {pos}
+                self.seen = 1 << pos
                 self.attempt += 1
                 self.last_kind = "restart"
                 continue

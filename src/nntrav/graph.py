@@ -44,12 +44,13 @@ def _bulk_rows(rows: list, row_types: set[type], width: int, n: int) -> bool:
 class Graph:
     """Simple undirected graph supporting edge deletion but never insertion."""
 
-    __slots__ = ("n", "_adj", "_edge_count")
+    __slots__ = ("n", "_adj", "_edge_count", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise GraphError(f"node count must be a positive int, got {n!r}")
         self.n = n
+        self._masks: list[int] | None = None
         pairs = [*edges]
         adj: list[set[int]] = [set() for _ in range(n)]
         if _bulk_rows(pairs, {list, tuple}, 2, n):
@@ -100,6 +101,19 @@ class Graph:
         """
         return self._adj
 
+    @property
+    def masks(self) -> list[int]:
+        """Every neighbor set as an int bitset (bit w set for each neighbor w),
+        indexed by node id.  Read-only; built on first use and kept in step
+        with deletions, so graphs that never ask for it never pay for it."""
+        if self._masks is None:
+            # a node adjacent to most others is cheaper to build from its non-neighbors
+            n = self.n
+            full, every = (1 << n) - 1, set(range(n))
+            self._masks = [sum(1 << w for w in nbrs) if 2 * len(nbrs) <= n
+                           else full ^ sum(1 << w for w in every - nbrs) for nbrs in self._adj]
+        return self._masks
+
     def edges(self) -> list[Edge]:
         out = [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
         out.sort()
@@ -115,11 +129,15 @@ class Graph:
         self._adj[u].discard(v)
         self._adj[v].discard(u)
         self._edge_count -= 1
+        if self._masks is not None:
+            self._masks[u] ^= 1 << v
+            self._masks[v] ^= 1 << u
 
     def copy(self) -> Graph:
         g = Graph(self.n)
         g._adj = [set(s) for s in self._adj]
         g._edge_count = self._edge_count
+        g._masks = None if self._masks is None else self._masks[:]
         return g
 
     def component(self, v: int) -> set[int]:
@@ -177,6 +195,27 @@ def bfs_levels(graph: Graph, sources: Iterable[int]) -> Iterator[list[int]]:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
+
+
+def neighbors_of(masks: list[int], nodes: int) -> int:
+    """The union of the neighbor bitsets of the nodes in bitset ``nodes``."""
+    out = 0
+    while nodes:
+        low = nodes & -nodes
+        out |= masks[low.bit_length() - 1]
+        nodes ^= low
+    return out
+
+
+def bit_levels(graph: Graph, source: int) -> Iterator[int]:
+    """:func:`bfs_levels` from one source on the neighbor bitsets: yields each
+    level as a bitset, with one OR per frontier node.  ``source`` is not checked."""
+    masks = graph.masks
+    seen = level = 1 << source
+    while level:
+        yield level
+        level = neighbors_of(masks, level) & ~seen
+        seen |= level
 
 
 def _hop_diameter(graph: Graph) -> int:

@@ -563,3 +563,21 @@ def test_bench_rejects_unknown_rows(tmp_path, capsys):
     suite.write_text(json.dumps([1, 2]))
     rc, _, err = run(capsys, "bench", "--suite", str(suite))
     assert rc == EXIT_VALIDATION
+
+
+def test_only_duels_build_neighbor_bitsets(monkeypatch, capsys):
+    """Graph.masks is for the duel agents: traverse, tree and simulate, on hop
+    and metric inputs alike, never ask for it."""
+    import nntrav.graph
+
+    def refuse(self):
+        raise AssertionError("neighbor bitsets built")
+
+    monkeypatch.setattr(nntrav.graph.Graph, "masks", property(refuse))
+    monkeypatch.chdir(Path(__file__).with_name("golden") / "inputs")
+    for argv in (["traverse", "--input", "ring.json"], ["traverse", "--input", "metric.json"],
+                 ["tree", "--input", "metric.json"], ["tree", "--input", "ring.json"],
+                 ["simulate", "--input", "ring.json", "--schedule", "sched.json"]):
+        assert run(capsys, *argv)[0] == 0, argv
+    with pytest.raises(AssertionError, match="bitsets built"):
+        main(["duel", "nn", "none", "--n", "4"])

@@ -68,6 +68,10 @@ CASES: dict[str, list[str]] = {
     "duel-none": ["duel", "dfs-restart", "none", "--n", "5"],
     "duel-schedule": ["duel", "nn", "schedule:sched.json", "--input", "ring.json",
                       "--output", TRACE],
+    "duel-schedule-walled": ["duel", "nn", "schedule:walled-ring-sched.json",
+                             "--input", "small-ring.json", "--output", TRACE],
+    "duel-dfs-restart-schedule": ["duel", "dfs-restart", "schedule:restart-sched.json",
+                                  "--input", "small-ring.json", "--output", TRACE],
     "tree-identity": ["tree", "--input", "metric.json", "--ranks", "identity", "--seed", "0"],
     "tree-shuffle": ["tree", "--input", "ring.json", "--ranks", "shuffle", "--seed", "7"],
     "tree-non-metric": ["tree", "--input", "four-point.json", "--seed", "0"],

@@ -10,6 +10,8 @@ from nntrav.graph import (
     GraphError,
     UnreachableError,
     bfs_distances,
+    bfs_levels,
+    bit_levels,
     check_triangle,
     complete_graph,
     cost_of,
@@ -61,6 +63,42 @@ def test_delete_edge_and_copy():
     assert h.has_edge(0, 1)  # copies do not alias
     with pytest.raises(GraphError):
         g.delete_edge(0, 1)  # already gone
+
+
+def bitsets(graph):
+    return [sum(1 << w for w in nbrs) for nbrs in graph.adjacency]
+
+
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_masks_follow_deletions_and_copies(n, seed):
+    """Built before, between or after random deletions, the neighbor bitsets
+    equal the adjacency sets, in the graph and in each copy, and copies do
+    not alias; the bitset BFS yields the set-based BFS levels."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    cut = g.edges()
+    rng.shuffle(cut)
+    cut = cut[:rng.randint(0, len(cut))]
+    build_at = rng.randint(0, len(cut))
+    copies = []
+    for i, (u, v) in enumerate(cut):
+        if i == build_at:
+            assert g.masks == bitsets(g)
+        if rng.random() < 0.3:
+            copies.append((g.copy(), bitsets(g)))
+        g.delete_edge(u, v)
+    assert g.masks == bitsets(g)
+    source = rng.randrange(n)
+    assert [*bit_levels(g, source)] == [sum(1 << v for v in level)
+                                        for level in bfs_levels(g, (source,))]
+    h = g.copy()
+    assert h.masks == bitsets(h) == bitsets(g)
+    if h.edge_count:
+        h.delete_edge(*h.edges()[0])
+        assert g.masks == bitsets(g) != h.masks == bitsets(h)
+    for c, before in copies:
+        assert c.masks == bitsets(c) == before
 
 
 def test_component_and_connectivity():

@@ -1,9 +1,10 @@
 """The hop hot paths against the whole-graph algorithms they replaced.
 
 Each oracle here is the earlier implementation, kept only to pin the faster
-one: all-pairs BFS rows for the hop cost extremes, a full BFS from the target
-for the nn agent's hop, and a fresh multi-source BFS every round for the R1/R2
-checker.
+one: all-pairs BFS rows for the hop cost extremes, set-based BFS runs (the
+nearest unvisited node, then a full BFS from it) for the nn agent's bitset
+searches, the set-based restarting DFS for its bitset one, and a fresh
+multi-source BFS every round for the R1/R2 checker.
 """
 
 import dataclasses
@@ -12,11 +13,17 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nntrav.games import NnAgent
+from nntrav.games import AgentStrategy, DfsRestartAgent, NnAgent, ScheduleAdversary
 from nntrav.graph import CostFunction, GraphError, UnreachableError, bfs_distances, nearest_of
 from nntrav.simulator import check_r1_r2
 
-from helpers import first_violation, random_connected_graph, random_schedule, run_recorded
+from helpers import (
+    first_violation,
+    play_recorded,
+    random_connected_graph,
+    random_schedule,
+    run_recorded,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -41,6 +48,45 @@ def nn_decide_oracle(graph, visited, pos):
         return target
     from_target = bfs_distances(graph, target)
     return min(u for u in graph.adjacency[pos] if from_target[u] == dist - 1)
+
+
+class NnOracleAgent(AgentStrategy):
+    """The nn agent as :func:`nn_decide_oracle` plays it."""
+
+    name = "nn"
+
+    def decide(self, graph, visited, pos):
+        return nn_decide_oracle(graph, visited, pos)
+
+
+class SetDfsRestartAgent(AgentStrategy):
+    """The restarting DFS with its seen nodes in a set: the forward move is
+    the least of the walker's neighbors not yet seen."""
+
+    name = "dfs-restart"
+
+    def reset(self, graph, start):
+        self.stack = []
+        self.seen = {start}
+
+    def decide(self, graph, visited, pos):
+        adj = graph.adjacency
+        while True:
+            fresh = adj[pos] - self.seen
+            if fresh:
+                nxt = min(fresh)
+                self.stack.append(pos)
+                self.seen.add(nxt)
+                return nxt
+            if self.stack:
+                parent = self.stack[-1]
+                if parent in adj[pos]:
+                    self.stack.pop()
+                    return parent
+                self.stack = []
+                self.seen = {pos}
+                continue
+            return None
 
 
 def r1_r2_oracle(trace, steps, graph):
@@ -115,9 +161,29 @@ def test_hop_extremes_match_all_pairs_rows(n, seed, keep):
 def test_nn_hop_matches_the_full_bfs_rule(n, seed, keep):
     rng = random.Random(seed)
     g = thinned_graph(rng, n, keep)
-    visited = set(rng.sample(range(n), rng.randint(1, n)))
+    order = rng.sample(range(n), rng.randint(1, n))
+    visited = set(order)
+    agent = NnAgent()
+    agent.reset(g, order[0])
+    for v in order[1:]:  # the agent learns each visit from standing there
+        agent.decide(g, visited, v)
     for pos in sorted(visited):
-        assert NnAgent().decide(g, visited, pos) == nn_decide_oracle(g, visited, pos)
+        assert agent.decide(g, visited, pos) == nn_decide_oracle(g, visited, pos)
+
+
+@given(st.integers(1, 14), SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_bitset_agents_play_the_set_based_games(n, seed):
+    """Whole games under random schedules, pre-run cuts included: each bitset
+    agent emits the step stream of its set-based oracle."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    start = rng.randrange(n)
+    schedule = random_schedule(rng, g)
+    for fast, oracle in ((NnAgent, NnOracleAgent), (DfsRestartAgent, SetDfsRestartAgent)):
+        got = play_recorded(fast(), ScheduleAdversary(schedule), g, start)
+        want = play_recorded(oracle(), ScheduleAdversary(schedule), g, start)
+        assert got == want
 
 
 def tampered(steps, n, rng):
