@@ -55,9 +55,16 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
 
-GENERATE_FAMILIES = (
-    "lr-pow2", "lr-general", "lr-padded", "dfs-killer", "complete", "path", "random-metric",
-)
+# generate family -> its options, in the order a missing one is reported
+GENERATE_PARAMS = {
+    "lr-pow2": ("m", "k"),
+    "lr-general": ("nu", "k"),
+    "lr-padded": ("nu", "k", "n"),
+    "dfs-killer": ("n",),
+    "complete": ("n",),
+    "path": ("n",),
+    "random-metric": ("n", "max_cost"),
+}
 
 
 def split_seed(seed: int, tag: str) -> int:
@@ -202,33 +209,6 @@ def _parse_ties(spec: str, seed: int):
 # --- generate ----------------------------------------------------------------
 
 
-def _lr_sidecar(lr) -> dict:
-    from .layered_ring import canonical_nn_route, hamiltonian_route
-
-    return {
-        "nu": lr.nu,
-        "k": lr.k,
-        "positions": list(lr.positions),
-        "layer_ids": {str(i): list(ids) for i, ids in lr.layer_ids.items()},
-        "layer_positions": {
-            str(i): list(lr.layer_sets[i - 1]) for i in range(1, lr.k + 1)
-        },
-        "routes": {"nn": canonical_nn_route(lr), "hamiltonian": hamiltonian_route(lr)},
-        "costs": {"nn": lr.nn_cost, "opt": lr.n - 1},
-        "scripted_ties": canonical_nn_route(lr),
-    }
-
-
-def _require(args: argparse.Namespace, family: str, *names: str) -> list[int]:
-    values = []
-    for name in names:
-        val = getattr(args, name.replace("-", "_"))
-        if val is None:
-            raise GraphError(f"generate {family} requires --{name}")
-        values.append(val)
-    return values
-
-
 def _build_lr_pow2(m: int, k: int):
     """The layered ring of size 2**m with k layers."""
     from .layered_ring import build_lr
@@ -241,42 +221,48 @@ def _build_lr_pow2(m: int, k: int):
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     family = args.family
+    params = {name: getattr(args, name) for name in GENERATE_PARAMS[family]}
+    for name, val in params.items():
+        if val is None:
+            raise GraphError(f"generate {family} requires --{name.replace('_', '-')}")
+    n = params.get("n")
     cost = None
-    params: dict = {}
-    if family == "lr-pow2":
-        m, k = _require(args, family, "m", "k")
-        lr = _build_lr_pow2(m, k)
-        graph, sidecar, params = lr.graph, _lr_sidecar(lr), {"m": m, "k": k}
-    elif family == "lr-general":
-        from .layered_ring import build_lr
+    if family in ("lr-pow2", "lr-general"):
+        from .layered_ring import build_lr, canonical_nn_route, hamiltonian_route
 
-        nu, k = _require(args, family, "nu", "k")
-        lr = build_lr(nu, k)
-        graph, sidecar, params = lr.graph, _lr_sidecar(lr), {"nu": nu, "k": k}
+        k = params["k"]
+        lr = _build_lr_pow2(params["m"], k) if family == "lr-pow2" else build_lr(params["nu"], k)
+        graph = lr.graph
+        sidecar = {
+            "nu": lr.nu,
+            "k": k,
+            "positions": list(lr.positions),
+            "layer_ids": {str(i): list(ids) for i, ids in lr.layer_ids.items()},
+            "layer_positions": {str(i): list(lr.layer_sets[i - 1]) for i in range(1, k + 1)},
+            "routes": {"nn": canonical_nn_route(lr), "hamiltonian": hamiltonian_route(lr)},
+            "costs": {"nn": lr.nn_cost, "opt": lr.n - 1},
+            "scripted_ties": canonical_nn_route(lr),
+        }
     elif family == "lr-padded":
         from .layered_ring import pad_to_n
 
-        nu, k, n = _require(args, family, "nu", "k", "n")
-        pr = pad_to_n(nu, k, n)
+        pr = pad_to_n(params["nu"], params["k"], n)
         graph = pr.graph
-        params = {"nu": nu, "k": k, "n": n}
         sidecar = {
-            "nu": nu,
-            "k": k,
+            "nu": pr.base.nu,
+            "k": pr.base.k,
             "base_n": pr.base.n,
             "extras": list(pr.extras),
             "routes": {"nn": pr.nn_route, "hamiltonian": pr.hamiltonian},
-            "costs": {"nn": len(pr.extras) + pr.base.nn_cost, "opt": graph.n - 1},
+            "costs": {"nn": len(pr.extras) + pr.base.nn_cost, "opt": n - 1},
             "scripted_ties": pr.nn_route,
         }
     elif family == "dfs-killer":
         from .games import killer_script
         from .layered_ring import build_dfs_killer
 
-        (n,) = _require(args, family, "n")
         trap = build_dfs_killer(n)
         graph = trap.graph
-        params = {"n": n}
         sidecar = {
             "clique_a": list(trap.clique_a),
             "clique_b": list(trap.clique_b),
@@ -285,24 +271,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "rule": trap.rule,
             "script": killer_script(trap).to_json_obj(),
         }
-    elif family == "complete":
-        (n,) = _require(args, family, "n")
-        graph = complete_graph(n)
-        params = {"n": n}
-        order = list(range(n))
-        sidecar = {"routes": {"nn": order, "hamiltonian": order}, "scripted_ties": order}
-    elif family == "path":
-        (n,) = _require(args, family, "n")
-        graph = path_graph(n)
-        params = {"n": n}
+    elif family in ("complete", "path"):
+        graph = complete_graph(n) if family == "complete" else path_graph(n)
         order = list(range(n))
         sidecar = {"routes": {"nn": order, "hamiltonian": order}, "scripted_ties": order}
     else:  # random-metric
-        (n,) = _require(args, family, "n")
         eff = split_seed(seed, f"random-metric/{n}")
         cost = random_metric_cost(n, random.Random(eff), args.max_cost)
         graph = complete_graph(n)
-        params = {"n": n, "max_cost": args.max_cost}
         sidecar = {"seed": seed, "derived_seed": eff}
 
     if args.format == "dot":
@@ -472,7 +448,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         summary = {
             "outcome": trace.outcome,
             "iterations": trace.iterations,
-            "explored": trace.final.exp,
+            "explored": trace.explored,
             "n": trace.n,
             "r1_r2": verdicts["r1_r2"] or "ok",
             "progress": verdicts["progress"] or "ok",
@@ -686,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="emit an instance of a named family")
-    g.add_argument("family", choices=GENERATE_FAMILIES)
+    g.add_argument("family", choices=GENERATE_PARAMS)
     g.add_argument("--m", type=int, help="ring exponent (lr-pow2)")
     g.add_argument("--nu", type=int, help="ring size (lr-general, lr-padded)")
     g.add_argument("--k", type=int, help="layer count (lr families)")

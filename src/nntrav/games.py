@@ -12,8 +12,7 @@ to superquadratic totals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bit_levels, neighbors_of, normalize_edge
 from .layered_ring import DfsTrap
@@ -56,8 +55,7 @@ class Adversary:
         return []
 
 
-@dataclass
-class GameTrace:
+class GameTrace(NamedTuple):
     """A finished game's summary; its steps went to ``play_game``'s ``on_step``.
 
     ``events`` holds the adversary's events in order (the clique's phase
@@ -220,17 +218,11 @@ class DfsRestartAgent(AgentStrategy):
 
     name = "dfs-restart"
 
-    def __init__(self) -> None:
+    def reset(self, graph: Graph, start: int) -> None:
         self.stack: list[int] = []
-        self.seen = 0  # bitset of the nodes the current search has reached
+        self.seen = 1 << start  # bitset of the nodes the current search has reached
         self.attempt = 1
         self.last_kind: str | None = None
-
-    def reset(self, graph: Graph, start: int) -> None:
-        self.stack = []
-        self.seen = 1 << start
-        self.attempt = 1
-        self.last_kind = None
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
         masks = graph.masks
@@ -291,14 +283,6 @@ class CliqueAdversary(Adversary):
 
     name = "clique"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.phase = "wait"
-        self.phase_index = 0
-        self.x: int | None = None
-        self.prev_x: int | None = None
-        self.zpair: set[int] = set()
-
     def reset(self, graph: Graph, start: int) -> list[Edge]:
         super().reset(graph, start)
         n = graph.n
@@ -308,9 +292,9 @@ class CliqueAdversary(Adversary):
             raise GameError("clique adversary requires a complete initial graph")
         self.phase = "wait"
         self.phase_index = 0
-        self.x = None
-        self.prev_x = None
-        self.zpair = set()
+        self.x: int | None = None
+        self.prev_x: int | None = None
+        self.zpair: set[int] = set()
         return []
 
     def _normalize(self, live: set[int], step: int) -> None:
@@ -383,8 +367,6 @@ class KillerAdversary(Adversary):
     def __init__(self, trap: DfsTrap) -> None:
         super().__init__()
         self.trap = trap
-        self.shadow = DfsRestartAgent()
-        self._last_cut_attempt = 0
 
     def reset(self, graph: Graph, start: int) -> list[Edge]:
         super().reset(graph, start)

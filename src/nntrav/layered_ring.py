@@ -11,7 +11,7 @@ every layer, paying the full ring once per layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Edge, Graph, GraphError, normalize_edge
 
@@ -63,8 +63,7 @@ def layers_general(nu: int, k: int) -> list[tuple[int, ...]]:
     return layers
 
 
-@dataclass
-class LayeredRing:
+class LayeredRing(NamedTuple):
     """A built layered ring: graph, node positions, and per-layer node ids.
 
     Node numbering: backbone 0..nu first (id = position), then layer k down to
@@ -76,8 +75,8 @@ class LayeredRing:
     k: int
     graph: Graph
     positions: list[int]
-    layer_sets: list[tuple[int, ...]] = field(repr=False)
-    layer_ids: dict[int, list[int]] = field(repr=False)
+    layer_sets: list[tuple[int, ...]]
+    layer_ids: dict[int, list[int]]
 
     @property
     def n(self) -> int:
@@ -158,8 +157,7 @@ def hamiltonian_route(lr: LayeredRing) -> list[int]:
     return order
 
 
-@dataclass
-class PaddedRing:
+class PaddedRing(NamedTuple):
     """A layered ring padded with a small clique of extra nodes to hit an exact n.
 
     The extras form a clique, each also adjacent to backbone position 0 and to
@@ -197,8 +195,7 @@ def pad_to_n(nu: int, k: int, n: int) -> PaddedRing:
     return PaddedRing(graph, base, extras, nn_route, sweep)
 
 
-@dataclass
-class DfsTrap:
+class DfsTrap(NamedTuple):
     """Two cliques joined by a long path, with a spanning tree no clique fits on.
 
     ``tree_edges`` is a star inside each clique centered on its path endpoint,

@@ -14,9 +14,8 @@ nearest unvisited node) hold regardless.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import gt, lt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
 
@@ -30,16 +29,15 @@ class ScheduleError(GraphError):
     """A failure schedule is malformed or names a missing edge."""
 
 
-@dataclass(frozen=True)
 class FailureSchedule:
     """Edges to delete at the end of given iterations; iteration 0 means before the run."""
 
-    deletions: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
+    __slots__ = ("deletions",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, deletions: dict[int, tuple[Edge, ...]] | None = None) -> None:
         seen: set[Edge] = set()
-        cleaned: dict[int, tuple[Edge, ...]] = {}
-        for iteration, edges in sorted(self.deletions.items()):
+        self.deletions: dict[int, tuple[Edge, ...]] = {}
+        for iteration, edges in sorted((deletions or {}).items()):
             if not isinstance(iteration, int) or isinstance(iteration, bool) or iteration < 0:
                 raise ScheduleError(f"iteration keys must be integers >= 0, got {iteration!r}")
             batch = []
@@ -53,8 +51,7 @@ class FailureSchedule:
                 seen.add(e)
                 batch.append(e)
             if batch:
-                cleaned[iteration] = tuple(batch)
-        object.__setattr__(self, "deletions", cleaned)
+                self.deletions[iteration] = tuple(batch)
 
     @classmethod
     def from_json_obj(cls, obj: object) -> FailureSchedule:
@@ -84,33 +81,7 @@ class FailureSchedule:
         return self.deletions.get(iteration, ())
 
 
-@dataclass
-class SimState:
-    """Snapshot of the walker between rounds.
-
-    ``exp`` counts explored (visited) nodes and starts at 1 for the start node;
-    ``iteration`` counts completed rounds.
-    """
-
-    vis: list[bool]
-    dist: list[int]
-    pos: int
-    exp: int
-    iteration: int
-
-    @classmethod
-    def initial(cls, n: int, start: int) -> SimState:
-        vis = [False] * n
-        vis[start] = True
-        return cls(vis, [0] * n, start, 1, 0)
-
-
-def has_terminated(state: SimState) -> bool:
-    return state.dist[state.pos] > state.exp
-
-
-@dataclass(frozen=True)
-class SimStep:
+class SimStep(NamedTuple):
     """One round's record; iteration 0 records only the deletions made before the run."""
 
     iteration: int
@@ -135,29 +106,65 @@ class SimStep:
         }
 
 
-def sim_step(state: SimState, graph: Graph, deletions: tuple[Edge, ...] = ()) -> tuple[SimState, SimStep]:
+class SimTrace:
+    """A run of the walker: its state between rounds, and its summary once it ends.
+
+    ``explored`` counts visited nodes and starts at 1 for the start node;
+    ``iterations`` counts completed rounds.  ``outcome`` reads
+    "budget-exhausted" until a round ends the run and sets it to "terminated".
+    The rounds' records go to ``run_sim``'s ``on_step``.
+    """
+
+    __slots__ = ("n", "start", "pre_deleted", "outcome", "vis", "dist", "pos", "explored",
+                 "iterations")
+
+    def __init__(self, n: int, start: int, pre_deleted: tuple[Edge, ...]) -> None:
+        self.n = n
+        self.start = start
+        self.pre_deleted = pre_deleted
+        self.outcome = "budget-exhausted"
+        self.vis = [False] * n
+        self.vis[start] = True
+        self.dist = [0] * n
+        self.pos = start
+        self.explored = 1
+        self.iterations = 0
+
+    def visited(self) -> set[int]:
+        return {v for v in range(self.n) if self.vis[v]}
+
+    def to_json_lines(self) -> list[str]:
+        """The lines that close the trace after the round lines: the summary."""
+        summary = {
+            "outcome": self.outcome,
+            "iterations": self.iterations,
+            "explored": self.explored,
+            "visited": sorted(self.visited()),
+        }
+        return [encode_line(summary)]
+
+
+def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> SimStep:
     """One synchronous round: label update, move, then deletions.
 
-    Returns the successor state and its step record without touching the input
-    state.  ``graph`` is mutated by the deletions — except on the terminating
-    round, whose deletions are skipped (the run is already over when they
-    would land).
+    Advances ``run`` in place and returns the round's record.  ``graph`` is
+    mutated by the deletions — except on the terminating round, whose
+    deletions are skipped (the run is already over when they would land).
     """
     adj = graph.adjacency
     n = graph.n
     cap = n + 1
-    old = state.dist
-    dist = list(old)
-    for v, seen in enumerate(state.vis):
+    old = run.dist
+    dist = list(old)  # a fresh list: every new label reads the previous round's
+    vis = run.vis
+    for v, seen in enumerate(vis):
         if seen:
             best = old[v]
             for u in adj[v]:
                 if old[u] < best:
                     best = old[u]
             dist[v] = best + 1 if best < n else cap
-    pos = state.pos
-    vis = list(state.vis)
-    exp = state.exp
+    before = pos = run.pos
     moved = False
     explored = None
     neighbors = adj[pos]
@@ -168,44 +175,18 @@ def sim_step(state: SimState, graph: Graph, deletions: tuple[Edge, ...] = ()) ->
             moved = True
             if not vis[pos]:
                 vis[pos] = True
-                exp += 1
+                run.explored += 1
                 explored = pos
-    new = SimState(vis, dist, pos, exp, state.iteration + 1)
+    run.dist, run.pos = dist, pos
+    run.iterations += 1
     applied: tuple[Edge, ...] = ()
-    if not has_terminated(new):
+    if dist[pos] > run.explored:
+        run.outcome = "terminated"
+    else:
         for u, v in deletions:
             graph.delete_edge(u, v)
         applied = tuple(normalize_edge(u, v) for u, v in deletions)
-    record = SimStep(new.iteration, state.pos, pos, moved, explored, tuple(dist), applied)
-    return new, record
-
-
-@dataclass
-class SimTrace:
-    """A finished run's summary; its rounds went to ``run_sim``'s ``on_step``."""
-
-    n: int
-    start: int
-    pre_deleted: tuple[Edge, ...]
-    outcome: str  # "terminated" | "budget-exhausted"
-    final: SimState
-
-    @property
-    def iterations(self) -> int:
-        return self.final.iteration
-
-    def visited(self) -> set[int]:
-        return {v for v in range(self.n) if self.final.vis[v]}
-
-    def to_json_lines(self) -> list[str]:
-        """The lines that close the trace after the round lines: the summary."""
-        summary = {
-            "outcome": self.outcome,
-            "iterations": self.iterations,
-            "explored": self.final.exp,
-            "visited": sorted(self.visited()),
-        }
-        return [encode_line(summary)]
+    return SimStep(run.iterations, before, pos, moved, explored, tuple(dist), applied)
 
 
 def iteration_budget(n: int) -> int:
@@ -242,16 +223,12 @@ def run_sim(
         work.delete_edge(u, v)
     if pre and on_step is not None:
         on_step(SimStep(0, start, start, False, None, (), pre))
-    state = SimState.initial(graph.n, start)
-    outcome = "budget-exhausted"
-    while state.iteration < budget:
-        state, record = sim_step(state, work, schedule.edges_at(state.iteration + 1))
+    run = SimTrace(graph.n, start, pre)
+    while run.iterations < budget and run.outcome != "terminated":
+        record = sim_step(run, work, schedule.edges_at(run.iterations + 1))
         if on_step is not None:
             on_step(record)
-        if has_terminated(state):
-            outcome = "terminated"
-            break
-    return SimTrace(graph.n, start, pre, outcome, state)
+    return run
 
 
 def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:

@@ -178,7 +178,7 @@ def sim_lines_oracle(trace: SimTrace, steps: list[SimStep]) -> list[str]:
     lines.append(encode_line({
         "outcome": trace.outcome,
         "iterations": trace.iterations,
-        "explored": trace.final.exp,
+        "explored": trace.explored,
         "visited": sorted(trace.visited()),
     }))
     return lines

@@ -7,7 +7,6 @@ searches, the set-based restarting DFS for its bitset one, and a fresh
 multi-source BFS every round for the R1/R2 checker.
 """
 
-import dataclasses
 import random
 
 from hypothesis import example, given, settings
@@ -194,7 +193,7 @@ def tampered(steps, n, rng):
     dist = list(steps[i].dist)
     dist[v] = rng.choice([x for x in range(n + 2) if x != dist[v]])
     steps = list(steps)
-    steps[i] = dataclasses.replace(steps[i], dist=tuple(dist))
+    steps[i] = steps[i]._replace(dist=tuple(dist))
     return steps
 
 

@@ -2,12 +2,15 @@
 
 Without bytecode caches every imported module is compiled again on every
 op, so ``generate random-metric``, ``traverse`` and ``tree`` must leave
-``games``, ``simulator``, ``layered_ring`` and ``dataclasses`` (which pulls
-in ``inspect``) unloaded.  The traced benchmark run imports only
-``nntrav.cli`` and ``nntrav.games`` and then wraps every layer of its LAYERS
-table, so that pair must still load all of them.
+``games``, ``simulator``, ``layered_ring``, ``dataclasses`` and ``inspect``
+unloaded.  The hop ops (``simulate``, ``duel``, ``bench`` and the ring and
+trap ``generate`` families) load the layers they run, but their records are
+plain classes, so they too leave ``dataclasses`` and ``inspect`` unloaded.
+The traced benchmark run imports only ``nntrav.cli`` and ``nntrav.games`` and
+then wraps every layer of its LAYERS table, so that pair must still load all
+of them.
 
-Both checks run in a fresh interpreter started with ``-S``, so modules that
+Every check runs in a fresh interpreter started with ``-S``, so modules that
 site-packages hooks load do not count.
 """
 
@@ -19,18 +22,21 @@ from pathlib import Path
 from helpers import traced_layers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-UNUSED_BY_METRIC_OPS = ("nntrav.games", "nntrav.simulator", "nntrav.layered_ring", "dataclasses")
+UNUSED_BY_ANY_OP = ("dataclasses", "inspect")
+UNUSED_BY_METRIC_OPS = ("nntrav.games", "nntrav.simulator", "nntrav.layered_ring",
+                        *UNUSED_BY_ANY_OP)
 
 
 def _modules_after(code: str, cwd: Path) -> set[str]:
-    """``sys.modules`` of a fresh interpreter once ``code`` has run in ``cwd``."""
+    """``sys.modules`` of a fresh interpreter once ``code`` has run in ``cwd``
+    (read from the last line of its stdout, after any op's own output)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code + "\nimport sys\nprint(*sorted(sys.modules))"],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_metric_subcommands_leave_the_other_layers_unloaded(tmp_path):
@@ -45,6 +51,31 @@ def test_metric_subcommands_leave_the_other_layers_unloaded(tmp_path):
     assert {"nntrav.graph", "nntrav.nn", "nntrav.tree"} <= loaded
     assert not loaded & set(UNUSED_BY_METRIC_OPS)
     assert (tmp_path / "t.json").exists() and (tmp_path / "r.json").exists()
+
+
+def test_hop_subcommands_leave_dataclasses_unloaded(tmp_path):
+    (tmp_path / "s.json").write_text('{"deletions": [{"iter": 1, "edges": [[1, 2]]}]}')
+    (tmp_path / "b.json").write_text(
+        '{"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, {"kind": "duel", "family": "complete",'
+        ' "n": 6, "agent": "nn", "adversary": "clique"}]}')
+    ops = [
+        ["generate", "path", "--n", "6", "--output", "p.json"],
+        ["generate", "lr-pow2", "--m", "3", "--k", "2", "--output", "l.json"],
+        ["generate", "lr-padded", "--nu", "8", "--k", "2", "--n", "23", "--output", "lp.json"],
+        ["generate", "dfs-killer", "--n", "12", "--output", "k.json"],
+        ["simulate", "--input", "p.json", "--schedule", "s.json", "--output", "sim.jsonl"],
+        ["duel", "nn", "clique", "--n", "6", "--output", "d1.jsonl"],
+        ["duel", "dfs-restart", "killer", "--n", "12", "--output", "d2.jsonl"],
+        ["duel", "nn", "schedule:s.json", "--input", "p.json", "--output", "d3.jsonl"],
+        ["bench", "--suite", "b.json", "--output", "b.csv"],
+    ]
+    loaded = _modules_after(
+        f"import nntrav.cli as cli\nfor argv in {ops!r}:\n    assert cli.main(argv) == 0, argv",
+        tmp_path)
+    assert {"nntrav.games", "nntrav.simulator", "nntrav.layered_ring"} <= loaded
+    assert not loaded & set(UNUSED_BY_ANY_OP)
+    assert all((tmp_path / f).exists()
+               for f in ("sim.jsonl", "d1.jsonl", "d2.jsonl", "d3.jsonl", "b.csv"))
 
 
 def test_cli_and_games_load_every_traced_layer(tmp_path):
