@@ -233,15 +233,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         k = params["k"]
         lr = _build_lr_pow2(params["m"], k) if family == "lr-pow2" else build_lr(params["nu"], k)
         graph = lr.graph
+        nn_route = canonical_nn_route(lr)
         sidecar = {
             "nu": lr.nu,
             "k": k,
             "positions": list(lr.positions),
             "layer_ids": {str(i): list(ids) for i, ids in lr.layer_ids.items()},
             "layer_positions": {str(i): list(lr.layer_sets[i - 1]) for i in range(1, k + 1)},
-            "routes": {"nn": canonical_nn_route(lr), "hamiltonian": hamiltonian_route(lr)},
+            "routes": {"nn": nn_route, "hamiltonian": hamiltonian_route(lr)},
             "costs": {"nn": lr.nn_cost, "opt": lr.n - 1},
-            "scripted_ties": canonical_nn_route(lr),
+            "scripted_ties": nn_route,
         }
     elif family == "lr-padded":
         from .layered_ring import pad_to_n

@@ -41,12 +41,9 @@ class Adversary:
 
     name = "adversary"
 
-    def __init__(self) -> None:
-        self.events: list[dict] = []
-
     def reset(self, graph: Graph, start: int) -> list[Edge]:
         """Prepare for a run; returns edges to delete before the first move."""
-        self.events = []
+        self.events: list[dict] = []
         return []
 
     def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
@@ -63,7 +60,6 @@ class GameTrace(NamedTuple):
     """
 
     n: int
-    start: int
     agent: str
     adversary: str
     pre_deleted: tuple[Edge, ...]
@@ -149,7 +145,7 @@ def play_game(
             cuts.append(e)
         if on_step is not None:
             on_step(step, frm, pos, cuts, events[seen:])
-    return GameTrace(graph.n, start, agent.name, adv.name, pre, step, outcome, visited, events)
+    return GameTrace(graph.n, agent.name, adv.name, pre, step, outcome, visited, events)
 
 
 def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
@@ -259,7 +255,6 @@ class ScheduleAdversary(Adversary):
     name = "schedule"
 
     def __init__(self, schedule: FailureSchedule) -> None:
-        super().__init__()
         self.schedule = schedule
 
     def reset(self, graph: Graph, start: int) -> list[Edge]:
@@ -365,7 +360,6 @@ class KillerAdversary(Adversary):
     name = "killer"
 
     def __init__(self, trap: DfsTrap) -> None:
-        super().__init__()
         self.trap = trap
 
     def reset(self, graph: Graph, start: int) -> list[Edge]:
@@ -391,7 +385,7 @@ class KillerAdversary(Adversary):
         return []
 
 
-def killer_script(trap: DfsTrap, start: int = 0, max_steps: int | None = None) -> FailureSchedule:
+def killer_script(trap: DfsTrap, max_steps: int | None = None) -> FailureSchedule:
     """Record the killer's cuts against the restarting walker as a step-keyed schedule.
 
     The walker is deterministic, so replaying the schedule reproduces the
@@ -407,8 +401,7 @@ def killer_script(trap: DfsTrap, start: int = 0, max_steps: int | None = None) -
         if deleted:
             deletions[step] = tuple(deleted)
 
-    trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, start, max_steps,
-                      keep_cuts)
+    trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, max_steps, keep_cuts)
     if trace.outcome != "halted":
         raise GameError(f"script capture ran past {max_steps} steps without finishing")
     return FailureSchedule(deletions)

@@ -283,9 +283,6 @@ def nearest_of(graph: Graph, source: int, targets: set[int]) -> tuple[int, list[
     return None
 
 
-_UNSCANNED = object()  # CostFunction._violation before the triangle scan
-
-
 class CostFunction:
     """Symmetric nonnegative integer costs on node pairs.
 
@@ -294,14 +291,13 @@ class CostFunction:
     and :meth:`cost` read either kind the same way.
     """
 
-    __slots__ = ("kind", "n", "graph", "_matrix", "_violation")
+    __slots__ = ("kind", "n", "graph", "_matrix")
 
     def __init__(self, kind: str, n: int, graph: Graph | None, matrix: list[list[int]] | None):
         self.kind = kind
         self.n = n
         self.graph = graph
         self._matrix = matrix
-        self._violation: object = None if kind == "hop" else _UNSCANNED
 
     @classmethod
     def hop_metric(cls, graph: Graph) -> CostFunction:
@@ -356,10 +352,8 @@ class CostFunction:
         return [list(self.row(u)) for u in range(self.n)]
 
     def triangle_violation(self) -> tuple[int, int, int] | None:
-        """:func:`check_triangle`'s answer, scanned once and kept."""
-        if self._violation is _UNSCANNED:
-            self._violation = check_triangle(self)
-        return self._violation
+        """:func:`check_triangle`'s answer; a hop metric never violates it."""
+        return None if self.kind == "hop" else check_triangle(self)
 
     def pair_cost_extremes(self) -> tuple[int, int]:
         """(min, max) cost over distinct pairs."""
@@ -458,7 +452,7 @@ def random_metric_cost(n: int, rng, max_cost: int = 9) -> CostFunction:
         for i, row_i in enumerate(rows):
             rows[i] = _field_min(row_i, ((row_i >> shift) & field) * ones + row_k, guard, width)
     closed = [[(p >> (v * width)) & field for v in range(n)] for p in rows]
-    return CostFunction.from_matrix(closed)
+    return CostFunction("matrix", n, None, closed)
 
 
 # --- serialization ---------------------------------------------------------
@@ -521,8 +515,8 @@ def instance_from_json_obj(obj: dict) -> tuple[Graph, CostFunction | None]:
     return graph, CostFunction.from_matrix(mat)
 
 
-def graph_to_dot(graph: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(graph: Graph) -> str:
+    lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(graph.n))
     lines.extend(f"  {u} -- {v};" for u, v in graph.edges())
     lines.append("}")

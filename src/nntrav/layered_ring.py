@@ -11,13 +11,10 @@ every layer, paying the full ring once per layer.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 from .graph import Edge, Graph, GraphError, normalize_edge
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def _check_ring(nu: int, k: int) -> None:
@@ -25,6 +22,15 @@ def _check_ring(nu: int, k: int) -> None:
         raise GraphError(f"ring size must be >= 2, got {nu}")
     if k < 0:
         raise GraphError(f"layer count must be >= 0, got {k}")
+
+
+def _halvings(g: int) -> set[int]:
+    """{ceil(g / 2**t) : t >= 0}, for g >= 1: g, ceil(g / 2), ..., 1."""
+    out = {g}
+    while g > 1:
+        g -= g // 2  # ceil(g / 2**(t+1)) = ceil(ceil(g / 2**t) / 2)
+        out.add(g)
+    return out
 
 
 def layers_general(nu: int, k: int) -> list[tuple[int, ...]]:
@@ -38,27 +44,12 @@ def layers_general(nu: int, k: int) -> list[tuple[int, ...]]:
     _check_ring(nu, k)
     if k == 0:
         return []
-    first = {0}
-    t = 0
-    while True:
-        val = _ceil_div(nu, 1 << t)
-        first.add(val)
-        if val == 1:
-            break
-        t += 1
-    layers = [tuple(sorted(first))]
+    layers = [tuple(sorted({0} | _halvings(nu)))]
     for _ in range(k - 1):
         prev = layers[-1]
         cur = {0}
         for a, b in zip(prev, prev[1:]):
-            g = b - a
-            t = 0
-            while True:
-                val = _ceil_div(g, 1 << t)
-                cur.add(a + val)
-                if val == 1:
-                    break
-                t += 1
+            cur.update(a + h for h in _halvings(b - a))
         layers.append(tuple(sorted(cur)))
     return layers
 
@@ -95,9 +86,7 @@ def _ring_graph(nu: int, positions: list[int]) -> Graph:
     edges: list[Edge] = []
     for p in range(nu + 1):
         bucket = occupants[p]
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                edges.append((bucket[i], bucket[j]))
+        edges.extend(combinations(bucket, 2))
         nxt = occupants[(p + 1) % (nu + 1)]
         for u in bucket:
             for v in nxt:
@@ -148,13 +137,7 @@ def canonical_nn_route(lr: LayeredRing) -> list[int]:
 
 def hamiltonian_route(lr: LayeredRing) -> list[int]:
     """Position sweep visiting all co-positioned nodes together; cost n - 1."""
-    occupants: list[list[int]] = [[] for _ in range(lr.nu + 1)]
-    for node, p in enumerate(lr.positions):
-        occupants[p].append(node)
-    order = []
-    for p in range(lr.nu + 1):
-        order.extend(sorted(occupants[p]))
-    return order
+    return sorted(range(lr.n), key=lr.positions.__getitem__)  # stable: ids ascend per position
 
 
 class PaddedRing(NamedTuple):
@@ -225,9 +208,7 @@ def build_dfs_killer(n: int) -> DfsTrap:
     clique_b = list(range(2 * q, 3 * q))
     edges: list[Edge] = []
     for group in (clique_a, clique_b):
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                edges.append((group[i], group[j]))
+        edges.extend(combinations(group, 2))
     chain = [0] + path_nodes + [2 * q]
     chain_edges = [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
     edges.extend(chain_edges)

@@ -52,17 +52,9 @@ def _nearest_unvisited(c: CostFunction, pos: int, unvisited: set[int]) -> tuple[
         if found is None:
             raise UnreachableError(f"no unvisited node reachable from {pos}")
         return found
-    best = None
-    tied: list[int] = []
     row = c.row(pos)
-    for v in sorted(unvisited):
-        w = row[v]
-        if best is None or w < best:
-            best = w
-            tied = [v]
-        elif w == best:
-            tied.append(v)
-    return best, tied
+    best = min(map(row.__getitem__, unvisited))
+    return best, sorted(v for v in unvisited if row[v] == best)
 
 
 def nn_traversal(c: CostFunction, start: int,
@@ -168,7 +160,10 @@ def nn_upper_bound(n: int, opt_cost: int) -> int:
         raise GraphError(f"bound needs n >= 2, got {n}")
     if opt_cost < 0:
         raise GraphError("optimal cost must be nonnegative")
-    return math.ceil(opt_cost * (1.0 + math.log(n - 1)))
+    try:
+        return math.ceil(opt_cost * (1.0 + math.log(n - 1)))
+    except OverflowError:
+        raise GraphError("optimal cost is too large for the float bound") from None
 
 
 def aspect_ratio_bound(opt_cost: int, lo: int, hi: int) -> int:
@@ -178,4 +173,7 @@ def aspect_ratio_bound(opt_cost: int, lo: int, hi: int) -> int:
         raise GraphError("aspect ratio undefined: some distinct pair has cost 0")
     if opt_cost < 0:
         raise GraphError("optimal cost must be nonnegative")
-    return math.ceil(opt_cost * (1.0 + math.log(hi / lo)))
+    try:
+        return math.ceil(opt_cost * (1.0 + math.log(hi / lo)))
+    except OverflowError:
+        raise GraphError("optimal cost or hi / lo is too large for the float bound") from None

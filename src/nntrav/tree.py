@@ -10,12 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .graph import CostFunction, Edge, GraphError, normalize_edge
-
-
-def validate_ranks(ranks, n: int) -> None:
-    if len(ranks) != n or sorted(ranks) != list(range(n)):
-        raise GraphError(f"ranks must be a bijection onto 0..{n - 1}, got {list(ranks)!r}")
+from .graph import CostFunction, Edge, GraphError, normalize_edge, validate_traversal
 
 
 def shuffled_ranks(n: int, rng) -> list[int]:
@@ -41,7 +36,7 @@ class RankedTree:
 def nn_tree(c: CostFunction, ranks) -> RankedTree:
     """Link every node to its cheapest strictly-higher-ranked node (ties: lowest id)."""
     n = c.n
-    validate_ranks(ranks, n)
+    validate_traversal(ranks, n)
     mat = c.as_matrix()
     root = ranks.index(n - 1)
     attach: dict[int, int] = {}
@@ -93,5 +88,8 @@ def nnt_bound_check(n: int, tree_total: int, mst: int) -> tuple[int, bool]:
     caller checks that."""
     if n < 1:
         raise GraphError(f"bound needs n >= 1, got {n}")
-    budget = math.ceil(2 * (1 + math.log(n)) * mst)
+    try:
+        budget = math.ceil(2 * (1 + math.log(n)) * mst)
+    except OverflowError:
+        raise GraphError("MST cost is too large for the float bound") from None
     return budget, tree_total <= budget

@@ -234,6 +234,12 @@ MALFORMED = [
     ("duel-schedule", {"deletions": [{"iter": 1, "edges": [["a", 1]]}]}),
     ("scripted-ties", [[1], 2]),
     ("traverse", {"n": 2, "edges": [], "weights": [[0, 1, 9223372036854775808]]}),
+    # bound formulas whose float operand overflows: cost ratio, MST, optimal cost
+    ("traverse", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                  "weights": [[0, 1, 1], [1, 2, 1], [0, 2, 10**400]]}),
+    ("tree", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+              "weights": [[0, 1, 10**400], [1, 2, 10**400], [0, 2, 10**400]]}),
+    ("bench", {"rows": [{"kind": "random-metric", "n": 5, "max_cost": 10**400}]}),
 ]
 
 
@@ -245,6 +251,7 @@ def test_malformed_shapes_exit_2_without_traceback(tmp_path, cmd, doc):
     path3.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
     argv = {
         "traverse": ["traverse", "--input", str(bad)],
+        "tree": ["tree", "--input", str(bad)],
         "killer": ["duel", "dfs-restart", "killer", "--input", str(bad)],
         "bench": ["bench", "--suite", str(bad)],
         "simulate-schedule": ["simulate", "--input", str(path3), "--schedule", str(bad)],

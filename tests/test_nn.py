@@ -21,6 +21,7 @@ from nntrav.graph import (
 )
 from nntrav.nn import (
     OPT_ORACLE_LIMIT,
+    _nearest_unvisited,
     aspect_ratio_bound,
     lambda_profile,
     nn_traversal,
@@ -53,6 +54,13 @@ def test_greedy_walk_hop_vs_matrix_agree():
         hop = CostFunction.hop_metric(g)
         s = rng.randrange(n)
         assert nn_traversal(hop, s) == nn_traversal(metric_closure(g), s)
+
+
+def test_tied_candidates_ascend_whatever_the_set_order():
+    # nn_traversal's own set(range(n)) iterates in ascending order in CPython,
+    # but {9, 2, 5} iterates as 9, 2, 5: the tied list must still ascend
+    for c in (metric_closure(complete_graph(10)), CostFunction.hop_metric(complete_graph(10))):
+        assert _nearest_unvisited(c, 0, {9, 2, 5}) == (1, [2, 5, 9])
 
 
 def test_validator_accepts_greedy_and_pins_first_bad_step():

@@ -16,13 +16,13 @@ from nntrav.graph import (
     instance_to_json_obj,
     path_graph,
     random_metric_cost,
+    validate_traversal,
 )
 from nntrav.tree import (
     mst_cost,
     nn_tree,
     nnt_bound_check,
     shuffled_ranks,
-    validate_ranks,
 )
 from helpers import metric_closure, unbounded_ratio_instance
 
@@ -31,11 +31,14 @@ STAR4 = metric_closure(Graph(4, [(0, 1), (0, 2), (0, 3)]))
 
 def test_rank_helpers():
     ranks = shuffled_ranks(20, random.Random(3))
-    validate_ranks(ranks, 20)
+    validate_traversal(ranks, 20)
     assert sorted(ranks) == list(range(20))
+    path3 = metric_closure(path_graph(3))
     for bad in ([0, 1], [0, 0, 2], [0, 1, 3]):
         with pytest.raises(GraphError):
-            validate_ranks(bad, 3)
+            validate_traversal(bad, 3)
+        with pytest.raises(GraphError, match="not a permutation"):
+            nn_tree(path3, bad)
 
 
 def test_star_chain_example():
