@@ -138,13 +138,14 @@ def play_game(
         step += 1
         visited.add(pos)
         seen = len(events)
-        cuts = []
-        for u, v in react(work, visited, step, frm, pos):
-            e = normalize_edge(u, v)
-            work.delete_edge(u, v)  # raises if the edge does not exist
-            cuts.append(e)
+        cuts = react(work, visited, step, frm, pos)
+        if cuts:
+            edges, cuts = cuts, []
+            for u, v in edges:
+                cuts.append(normalize_edge(u, v))
+                work.delete_edge(u, v)  # raises if the edge does not exist
         if on_step is not None:
-            on_step(step, frm, pos, cuts, events[seen:])
+            on_step(step, frm, pos, cuts, events[seen:] if len(events) > seen else ())
     return GameTrace(graph.n, agent.name, adv.name, pre, step, outcome, visited, events)
 
 
@@ -222,22 +223,23 @@ class DfsRestartAgent(AgentStrategy):
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
         masks = graph.masks
+        stack = self.stack
         while True:
             fresh = masks[pos] & ~self.seen
             if fresh:
                 low = fresh & -fresh
-                self.stack.append(pos)
+                stack.append(pos)
                 self.seen |= low
                 self.last_kind = "forward"
                 return low.bit_length() - 1
-            if self.stack:
-                parent = self.stack[-1]
+            if stack:
+                parent = stack[-1]
                 if masks[pos] >> parent & 1:
-                    self.stack.pop()
+                    stack.pop()
                     self.last_kind = "backtrack"
                     return parent
                 # Stack edge gone: forget everything, search anew from here.
-                self.stack = []
+                stack.clear()
                 self.seen = 1 << pos
                 self.attempt += 1
                 self.last_kind = "restart"
@@ -382,7 +384,7 @@ class KillerAdversary(Adversary):
             if e not in self.trap.tree_edges and self.shadow.attempt > self._last_cut_attempt:
                 self._last_cut_attempt = self.shadow.attempt
                 return [e]
-        return []
+        return ()
 
 
 def killer_script(trap: DfsTrap, max_steps: int | None = None) -> FailureSchedule:

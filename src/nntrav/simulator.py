@@ -14,8 +14,9 @@ nearest unvisited node) hold regardless.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from operator import gt, lt
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
 
@@ -112,11 +113,13 @@ class SimTrace:
     ``explored`` counts visited nodes and starts at 1 for the start node;
     ``iterations`` counts completed rounds.  ``outcome`` reads
     "budget-exhausted" until a round ends the run and sets it to "terminated".
-    The rounds' records go to ``run_sim``'s ``on_step``.
+    ``due`` holds the nodes whose label the next round may change, or None
+    when it recomputes every visited label.  The rounds' records go to
+    ``run_sim``'s ``on_step``.
     """
 
     __slots__ = ("n", "start", "pre_deleted", "outcome", "vis", "dist", "pos", "explored",
-                 "iterations")
+                 "iterations", "due")
 
     def __init__(self, n: int, start: int, pre_deleted: tuple[Edge, ...]) -> None:
         self.n = n
@@ -129,6 +132,7 @@ class SimTrace:
         self.pos = start
         self.explored = 1
         self.iterations = 0
+        self.due: set[int] | None = None
 
     def visited(self) -> set[int]:
         return {v for v in range(self.n) if self.vis[v]}
@@ -150,6 +154,10 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     Advances ``run`` in place and returns the round's record.  ``graph`` is
     mutated by the deletions — except on the terminating round, whose
     deletions are skipped (the run is already over when they would land).
+
+    Only the visited nodes in ``run.due`` are recomputed.  When more than
+    half of the explored labels move, as on a path sweep, the next round
+    scans them all instead of collecting the neighbors of each change.
     """
     adj = graph.adjacency
     n = graph.n
@@ -157,13 +165,21 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     old = run.dist
     dist = list(old)  # a fresh list: every new label reads the previous round's
     vis = run.vis
-    for v, seen in enumerate(vis):
-        if seen:
-            best = old[v]
-            for u in adj[v]:
-                if old[u] < best:
-                    best = old[u]
-            dist[v] = best + 1 if best < n else cap
+    due = run.due
+    changed = []
+    for v in compress(range(n), vis) if due is None else filter(vis.__getitem__, due):
+        best = old[v]
+        for u in adj[v]:
+            if old[u] < best:
+                best = old[u]
+        best = best + 1 if best < n else cap
+        if best != old[v]:
+            dist[v] = best
+            changed.append(v)
+    if 2 * len(changed) > run.explored:
+        due = None
+    else:
+        due = set(changed).union(*map(adj.__getitem__, changed))
     before = pos = run.pos
     moved = False
     explored = None
@@ -177,7 +193,9 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
                 vis[pos] = True
                 run.explored += 1
                 explored = pos
-    run.dist, run.pos = dist, pos
+                if due is not None:
+                    due.add(pos)
+    run.dist, run.pos, run.due = dist, pos, due
     run.iterations += 1
     applied: tuple[Edge, ...] = ()
     if dist[pos] > run.explored:
@@ -185,6 +203,8 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     else:
         for u, v in deletions:
             graph.delete_edge(u, v)
+            if due is not None:
+                due.update((u, v))
         applied = tuple(normalize_edge(u, v) for u, v in deletions)
     return SimStep(run.iterations, before, pos, moved, explored, tuple(dist), applied)
 
@@ -231,6 +251,52 @@ def run_sim(
     return run
 
 
+def _repair(adj: list[set[int]], true: list[int], seeds: Iterable[int], limit: int) -> bool:
+    """Raise ``true``, the hop distances to a source set, to the exact values
+    after some distances grew, by re-settling only the nodes that lost their way
+    (the batch repair of Ramalingam & Reps, J. Algorithms 1996).
+
+    ``adj`` is the graph after the change.  A seed is a node that may have
+    lost its way: a source that stopped being one, or the farther end of a
+    cut edge.  Level by level from the seeds, a node is lost when no
+    neighbor one step nearer kept its own; the lost nodes are then settled
+    from their neighbors that were not lost, nearest first.  Once more than
+    ``limit`` nodes are lost it stops, leaves ``true`` as it was (still a
+    lower bound) and returns False.
+    """
+    cap = len(true) + 1
+    lost: set[int] = set()
+    levels: dict[int, set[int]] = {}
+    for w in seeds:
+        levels.setdefault(true[w], set()).add(w)
+    while levels:
+        d = min(levels)
+        for w in levels.pop(d):
+            if d and any(true[u] == d - 1 and u not in lost for u in adj[w]):
+                continue
+            lost.add(w)
+            if len(lost) > limit:
+                return False
+            levels.setdefault(d + 1, set()).update(u for u in adj[w] if true[u] == d + 1)
+    tent: dict[int, int] = {}  # the lost nodes not yet settled
+    buckets: dict[int, list[int]] = {}
+    for w in lost:
+        tent[w] = d = min([cap, *(true[u] + 1 for u in adj[w] if u not in lost)])
+        buckets.setdefault(d, []).append(w)
+    while buckets:
+        d = min(buckets)
+        for w in buckets.pop(d):
+            if tent.get(w) != d:
+                continue  # settled, or queued again nearer
+            del tent[w]
+            true[w] = d
+            for u in adj[w]:
+                if tent.get(u, 0) > d + 1:
+                    tent[u] = d + 1
+                    buckets.setdefault(d + 1, []).append(u)
+    return True
+
+
 def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
     """An online check of the two label invariants over a run on ``graph``.
 
@@ -240,21 +306,29 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
     compared against the cap n + 1).  Feed the returned function the run's
     records in order, iteration 0 included; it returns None for a round where
     both hold, else a description of the violation.  Stop at the first one.
+
+    Visits and cuts only raise true distances, so each is repaired in place.
+    A repair that would re-settle more than n // 8 nodes is skipped; the old
+    distances stay a lower bound, and a full BFS reruns only in a round whose
+    labels exceed them.
     """
     work = graph.copy()
+    adj = work.adjacency
     n = graph.n
+    limit = n // 8
     prev: tuple[int, ...] = (0,) * n
     visited: list[bool] = []  # filled from the first record's start node
-    true = None  # the last BFS result; only an exploration or a deletion changes it
+    true = [0] * n  # a lower bound until the first BFS
+    exact = False
 
     def check(step: SimStep) -> str | None:
-        nonlocal prev, true
+        nonlocal prev, true, exact
         if not visited:
             visited.extend(v == step.pos_before for v in range(n))
         if step.iteration:
             if step.explored is not None:
                 visited[step.explored] = True
-                true = None
+                exact = exact and _repair(adj, true, (step.explored,), limit)
             dist = step.dist
             # a C-speed test first; the scans below name the first violation
             if any(map(lt, dist, prev)):
@@ -264,10 +338,11 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
                             f"R1 violated at iteration {step.iteration}: "
                             f"dist[{v}] decreased {prev[v]} -> {dist[v]}"
                         )
-            if true is None:
-                # unreachable => n + 1, the label cap
-                true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
             if any(map(gt, dist, true)):
+                if not exact:
+                    # unreachable => n + 1, the label cap
+                    true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
+                    exact = True
                 for v in range(n):
                     if visited[v] and dist[v] > true[v]:
                         return (
@@ -276,9 +351,12 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
                         )
             prev = dist
         if step.deleted:
+            seeds = []
             for u, v in step.deleted:
                 work.delete_edge(u, v)
-            true = None
+                if true[u] != true[v]:
+                    seeds.append(u if true[u] > true[v] else v)
+            exact = exact and _repair(adj, true, seeds, limit)
         return None
 
     return check

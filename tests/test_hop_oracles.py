@@ -3,8 +3,9 @@
 Each oracle here is the earlier implementation, kept only to pin the faster
 one: all-pairs BFS rows for the hop cost extremes, set-based BFS runs (the
 nearest unvisited node, then a full BFS from it) for the nn agent's bitset
-searches, the set-based restarting DFS for its bitset one, and a fresh
-multi-source BFS every round for the R1/R2 checker.
+searches, the set-based restarting DFS for its bitset one, a fresh
+multi-source BFS every round for the R1/R2 checker and for its local
+repair, and a scan of every visited label for the walker's rounds.
 """
 
 import random
@@ -13,8 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nntrav.games import AgentStrategy, DfsRestartAgent, NnAgent, ScheduleAdversary
-from nntrav.graph import CostFunction, GraphError, UnreachableError, bfs_distances, nearest_of
-from nntrav.simulator import check_r1_r2
+from nntrav.graph import (
+    CostFunction,
+    GraphError,
+    UnreachableError,
+    bfs_distances,
+    complete_graph,
+    nearest_of,
+    normalize_edge,
+    path_graph,
+)
+from nntrav.simulator import SimStep, SimTrace, _repair, check_r1_r2, sim_step
 
 from helpers import (
     first_violation,
@@ -121,6 +131,52 @@ def r1_r2_oracle(trace, steps, graph):
     return None
 
 
+def full_scan_step(run, graph, deletions=()):
+    """One round with every visited label recomputed from the previous round's."""
+    adj = graph.adjacency
+    n = graph.n
+    old = run.dist
+    dist = list(old)
+    for v in range(n):
+        if run.vis[v]:
+            best = min([old[v], *(old[u] for u in adj[v])])
+            dist[v] = best + 1 if best < n else n + 1
+    before = pos = run.pos
+    explored = None
+    if adj[pos]:
+        target = min(adj[pos], key=lambda u: (dist[u], u))
+        if dist[target] < dist[pos]:
+            pos = target
+            if not run.vis[pos]:
+                run.vis[pos] = True
+                run.explored += 1
+                explored = pos
+    run.dist, run.pos = dist, pos
+    run.iterations += 1
+    applied = ()
+    if dist[pos] > run.explored:
+        run.outcome = "terminated"
+    else:
+        for u, v in deletions:
+            graph.delete_edge(u, v)
+        applied = tuple(normalize_edge(u, v) for u, v in deletions)
+    return SimStep(run.iterations, before, pos, pos != before, explored, tuple(dist), applied)
+
+
+def step_rounds(step, graph, start, schedule, budget):
+    """The records of a run played with ``step``, and for each round whether
+    the run's state then asked for a scan of every visited label."""
+    work = graph.copy()
+    pre = schedule.edges_at(0)
+    for u, v in pre:
+        work.delete_edge(u, v)
+    run = SimTrace(graph.n, start, pre)
+    out = []
+    while run.iterations < budget and run.outcome != "terminated":
+        out.append((step(run, work, schedule.edges_at(run.iterations + 1)), run.due is None))
+    return out
+
+
 def thinned_graph(rng, n, keep):
     """A random connected graph with each edge then deleted with probability 1 - keep."""
     g = random_connected_graph(rng, n)
@@ -197,7 +253,8 @@ def tampered(steps, n, rng):
     return steps
 
 
-@given(st.integers(2, 16), SEEDS)
+@given(st.integers(2, 40), SEEDS)
+@example(24, 0)
 @settings(max_examples=80, deadline=None)
 def test_r1_r2_matches_the_per_round_bfs_checker(n, seed):
     rng = random.Random(seed)
@@ -223,3 +280,66 @@ def test_tampered_traces_reach_both_verdicts():
         assert got == r1_r2_oracle(trace, bad, g)
         kinds.add(got[:2] if got else None)
     assert kinds == {"R1", "R2", None}
+
+
+@given(st.integers(1, 40), SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_repair_matches_a_fresh_bfs_after_every_visit_and_cut(n, seed):
+    """Visits and cuts in random order until no source and no edge is left.
+    With limit n the repair always finishes with the fresh BFS distances;
+    with limit 0 it gives up on any lost node and writes nothing."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    sources = set(range(n))
+    true = bfs_distances(g, *sources)
+    edges = g.edges()
+    rng.shuffle(edges)
+    while sources or edges:
+        seeds = []
+        visit = not edges or (sources and rng.random() < 0.5)
+        if visit:
+            x = rng.choice(sorted(sources))
+            sources.discard(x)
+            seeds.append(x)
+        else:
+            for _ in range(min(len(edges), rng.randint(1, 3))):
+                u, v = edges.pop()
+                g.delete_edge(u, v)
+                if true[u] != true[v]:
+                    seeds.append(u if true[u] > true[v] else v)
+        fresh = bfs_distances(g, *sources)
+        before = true[:]
+        finished = _repair(g.adjacency, true, seeds, 0)
+        assert true == before
+        assert not (visit and finished)  # a visited source is always lost
+        assert not finished or fresh == before
+        assert _repair(g.adjacency, true, seeds, n)
+        assert true == fresh
+
+
+def same_rounds(g, start, schedule, budget):
+    """Assert that ``sim_step`` plays the rounds of the full scan; return for
+    each round whether the run then asked for a scan of every visited label."""
+    got = step_rounds(sim_step, g, start, schedule, budget)
+    want = step_rounds(full_scan_step, g, start, schedule, budget)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    return [full for _, full in got]
+
+
+@given(st.integers(1, 30), SEEDS)
+@settings(max_examples=80, deadline=None)
+def test_sim_step_matches_the_full_scan(n, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    budget = rng.choice([4 * n * n, rng.randint(0, 4 * n)])
+    same_rounds(g, rng.randrange(n), random_schedule(rng, g), budget)
+
+
+def test_sim_step_switches_between_due_nodes_and_the_full_scan():
+    """A path sweep moves most labels each round, so the next round scans them
+    all; on a clique most labels settle, so it recomputes only the due ones.
+    Both runs carry cuts."""
+    for g, start in ((path_graph(40), 13), (complete_graph(12), 0)):
+        schedule = random_schedule(random.Random(g.n), g, rounds=3 * g.n)
+        modes = same_rounds(g, start, schedule, 4 * g.n * g.n)
+        assert modes.count(True) > 1 and modes.count(False) > 1
