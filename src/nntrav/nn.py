@@ -104,11 +104,13 @@ def lambda_profile(order: Sequence[int], c: CostFunction) -> dict[int, int]:
 def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     """Exact minimum-cost traversal over all start nodes, for n <= 13.
 
-    Held-Karp over (visited-subset, last-node) states on packed rows:
-    ``dp[mask]`` holds one field per last node.  For each mask, the field-wise
-    min over ``last`` in the mask of ``dp[mask][last] + row[last]`` gives, in
-    field x, the cheapest route over the mask that ends by stepping to x.  The
-    backtrack takes the lowest-id predecessor attaining each value.
+    Held-Karp on packed rows, built from the smaller subsets up: field x of
+    ``reach[mask]`` is the cheapest route over ``mask`` followed by one step
+    to x.  The empty route costs 0, so ``reach[{v}]`` is v's own row, and a
+    larger ``reach[mask]`` is the field-wise min, over ``last`` in the mask, of
+    the cheapest route over the mask ending at ``last`` (field ``last`` of
+    ``reach[mask ^ 1 << last]``) plus ``last``'s row.  The backtrack takes the
+    lowest-id predecessor attaining each value.
     """
     n = c.n
     if n > OPT_ORACLE_LIMIT:
@@ -121,28 +123,31 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     field = (1 << width) - 1
     shifts = [v * width for v in range(n)]
     full = (1 << n) - 1
-    dp = [0] * (full + 1)  # dp[1 << v] is read only in field v: v alone costs 0
+    members: list[tuple] = [()]  # members[mask]: (bit, shift, row) of each node in mask
+    for v in range(n):
+        members += [m + ((1 << v, shifts[v], rows[v]),) for m in members]
+    reach = [0] * full  # reach[0] = 0: the route over no node costs nothing
     for mask in range(1, full):
-        row = dp[mask]
         best = None
-        for last in range(n):
-            if mask >> last & 1:
-                cand = ((row >> shifts[last]) & field) * ones + rows[last]
-                best = cand if best is None else _field_min(best, cand, guard, width)
-        for nxt in range(n):
-            if not mask >> nxt & 1:
-                dp[mask | 1 << nxt] |= best & (field << shifts[nxt])
-    ends = [(dp[full] >> s) & field for s in shifts]
+        for bit, shift, row in members[mask]:
+            cand = ((reach[mask ^ bit] >> shift) & field) * ones + row
+            best = cand if best is None else _field_min(best, cand, guard, width)
+        reach[mask] = best
+    def ending(mask: int, v: int) -> int:
+        """Cost of the cheapest route over ``mask`` that ends at v, for v in mask."""
+        return (reach[mask ^ 1 << v] >> shifts[v]) & field
+
+    ends = [ending(full, v) for v in range(n)]
     total = min(ends)
     last = ends.index(total)
     order = [last]
     mask, value = full, total
     while mask != 1 << last:
         mask ^= 1 << last
-        row, step_to = dp[mask], last
+        step_to = last
         last = next(
             p for p in range(n)
-            if mask >> p & 1 and ((row >> shifts[p]) & field) + mat[p][step_to] == value
+            if mask >> p & 1 and ending(mask, p) + mat[p][step_to] == value
         )
         value -= mat[last][step_to]
         order.append(last)

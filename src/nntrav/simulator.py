@@ -308,9 +308,11 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
     both hold, else a description of the violation.  Stop at the first one.
 
     Visits and cuts only raise true distances, so each is repaired in place.
-    A repair that would re-settle more than n // 8 nodes is skipped; the old
+    A repair that would re-settle more than n // 8 nodes gives up; the old
     distances stay a lower bound, and a full BFS reruns only in a round whose
-    labels exceed them.
+    labels exceed them.  Eight give-ups in a row cost about one BFS, so after
+    that many the checker backs off: it passes over 1, 2, 4, ... chances to
+    repair between attempts, until an attempt finishes.
     """
     work = graph.copy()
     adj = work.adjacency
@@ -320,6 +322,23 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
     visited: list[bool] = []  # filled from the first record's start node
     true = [0] * n  # a lower bound until the first BFS
     exact = False
+    gave_up = skip = 0  # give-ups in a row; chances to repair still to pass over
+
+    def repaired(seeds: Iterable[int]) -> bool:
+        """Whether ``true`` is still exact after a visit or cut at ``seeds``."""
+        nonlocal gave_up, skip
+        if not exact:
+            return False
+        if skip:
+            skip -= 1
+            return False
+        if _repair(adj, true, seeds, limit):
+            gave_up = 0
+            return True
+        gave_up += 1
+        if gave_up >= 8:
+            skip = 1 << (gave_up - 8)
+        return False
 
     def check(step: SimStep) -> str | None:
         nonlocal prev, true, exact
@@ -328,7 +347,7 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
         if step.iteration:
             if step.explored is not None:
                 visited[step.explored] = True
-                exact = exact and _repair(adj, true, (step.explored,), limit)
+                exact = repaired((step.explored,))
             dist = step.dist
             # a C-speed test first; the scans below name the first violation
             if any(map(lt, dist, prev)):
@@ -356,7 +375,7 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
                 work.delete_edge(u, v)
                 if true[u] != true[v]:
                     seeds.append(u if true[u] > true[v] else v)
-            exact = exact and _repair(adj, true, seeds, limit)
+            exact = repaired(seeds)
         return None
 
     return check

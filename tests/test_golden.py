@@ -50,6 +50,7 @@ CASES: dict[str, list[str]] = {
     "traverse-oracle-hop": ["traverse", "--input", "small-ring.json", "--seed", "0"],
     "traverse-oracle-metric": ["traverse", "--input", "metric.json", "--start", "2",
                                "--seed", "0"],
+    "traverse-oracle-limit": ["traverse", "--input", "oracle-limit.json", "--seed", "0"],
     "traverse-disconnected": ["traverse", "--input", "disconnected.json", "--seed", "0"],
     "traverse-zero-pair": ["traverse", "--input", "zero-pair.json", "--seed", "0"],
     "traverse-non-metric": ["traverse", "--input", "four-point.json", "--start", "3",

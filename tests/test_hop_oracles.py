@@ -13,6 +13,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nntrav import simulator
 from nntrav.games import AgentStrategy, DfsRestartAgent, NnAgent, ScheduleAdversary
 from nntrav.graph import (
     CostFunction,
@@ -315,6 +316,26 @@ def test_repair_matches_a_fresh_bfs_after_every_visit_and_cut(n, seed):
         assert not finished or fresh == before
         assert _repair(g.adjacency, true, seeds, n)
         assert true == fresh
+
+
+def test_r1_r2_backs_off_repairs_that_keep_giving_up(monkeypatch):
+    """A path swept from node 40 of 120: once the visited stretch is wider
+    than twice the repair limit, every visit loses more than the limit.
+    Without the back-off 46 of the checker's 74 repairs give up; with it,
+    13 of 41.  Its verdicts on tampered rounds still match the per-round BFS
+    checker's."""
+    g = path_graph(120)
+    trace, steps = run_recorded(g, 40)
+    finished = []
+    real = simulator._repair
+    monkeypatch.setattr(simulator, "_repair",
+                        lambda *args: finished.append(real(*args)) or finished[-1])
+    assert first_violation(check_r1_r2(g), steps) is None
+    assert finished.count(False) <= 13 and len(finished) <= 41
+    rng = random.Random(5)
+    for _ in range(20):
+        bad = tampered(steps, g.n, rng)
+        assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(trace, bad, g)
 
 
 def same_rounds(g, start, schedule, budget):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nntrav.graph import CostFunction, GraphError, check_triangle, random_metric_cost
-from nntrav.nn import opt_traversal
+from nntrav.nn import OPT_ORACLE_LIMIT, opt_traversal
 
 from helpers import random_connected_graph
 
@@ -171,6 +171,14 @@ def test_closure_matches_scalar_floyd_warshall(n, seed, cap):
 
 @given(st.integers(1, 9), SEEDS, CAPS, st.sampled_from(["raw", "closed"]))
 @example(5, 0, 0, "raw")  # every route costs 0: all ties
+# up to the oracle's size limit, the benchmark's size: small raw costs (many
+# ties), a closed metric, and all-zero costs
+@example(12, 12, 3, "raw")
+@example(OPT_ORACLE_LIMIT, 13, 3, "raw")
+@example(12, 12, 1000, "closed")
+@example(OPT_ORACLE_LIMIT, 13, 1000, "closed")
+@example(12, 12, 0, "raw")
+@example(OPT_ORACLE_LIMIT, 13, 0, "raw")
 @settings(max_examples=120, deadline=None)
 def test_held_karp_matches_the_parent_table(n, seed, cap, kind):
     c = random_costs(random.Random(seed), n, cap, kind)
