@@ -422,8 +422,7 @@ def _trace_result(trace, summary: dict | None) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulator import (
-        FailureSchedule, check_progress, check_r1_r2, encode_line, run_sim)
+    from .simulator import FailureSchedule, check_progress, check_r1_r2, run_sim, trace_writer
 
     graph, cost, _ = _load_instance(args.input)
     if cost.kind != "hop":
@@ -434,9 +433,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         checks = {"r1_r2": check_r1_r2(graph), "progress": check_progress(graph.n)}
     verdicts = dict.fromkeys(checks)
     with _trace_output(args.output) as write:
+        write_step = trace_writer(write, graph.n)
 
         def on_step(step) -> None:
-            write(encode_line(step.as_json_obj()) + "\n")
+            write_step(step)
             for name, check in checks.items():
                 if verdicts[name] is None:  # each check stops at its first violation
                     verdicts[name] = check(step)

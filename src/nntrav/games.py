@@ -153,19 +153,20 @@ def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
     """An ``on_step`` consumer that passes each step's trace line, with its
     newline, to ``write``.
 
-    A line is the text ``encode_line`` gives the step's JSON object.  Most
-    steps cut no edge and raise no event; their line has a fixed shape and is
-    built by one f-string.
+    A line is the text ``encode_line`` gives the step's JSON object.  Every
+    move that raises no event, with or without cuts, has a fixed shape and is
+    built by one f-string; int lists print the same in ``repr`` as in JSON.
     """
 
     def on_step(step, frm, to, deleted, events) -> None:
-        if deleted or events:
+        if step and not events:
+            write(f'{{"deleted": {[list(e) for e in deleted]}, "events": [], "from": {frm}, '
+                  f'"step": {step}, "to": {to}}}\n')
+        else:
             obj = {"step": step, "deleted": [list(e) for e in deleted]}
             if step:
                 obj.update({"from": frm, "to": to, "events": list(events)})
             write(encode_line(obj) + "\n")
-        else:
-            write(f'{{"deleted": [], "events": [], "from": {frm}, "step": {step}, "to": {to}}}\n')
 
     return on_step
 

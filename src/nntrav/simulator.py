@@ -14,7 +14,6 @@ nearest unvisited node) hold regardless.
 from __future__ import annotations
 
 import json
-from itertools import compress
 from operator import gt, lt
 from typing import Callable, Iterable, NamedTuple
 
@@ -93,19 +92,6 @@ class SimStep(NamedTuple):
     dist: tuple[int, ...]
     deleted: tuple[Edge, ...]
 
-    def as_json_obj(self) -> dict:
-        if not self.iteration:
-            return {"iter": 0, "deleted": [list(e) for e in self.deleted]}
-        return {
-            "iter": self.iteration,
-            "pos_before": self.pos_before,
-            "pos_after": self.pos_after,
-            "moved": self.moved,
-            "explored": self.explored,
-            "dist": list(self.dist),
-            "deleted": [list(e) for e in self.deleted],
-        }
-
 
 class SimTrace:
     """A run of the walker: its state between rounds, and its summary once it ends.
@@ -113,13 +99,14 @@ class SimTrace:
     ``explored`` counts visited nodes and starts at 1 for the start node;
     ``iterations`` counts completed rounds.  ``outcome`` reads
     "budget-exhausted" until a round ends the run and sets it to "terminated".
-    ``due`` holds the nodes whose label the next round may change, or None
-    when it recomputes every visited label.  The rounds' records go to
-    ``run_sim``'s ``on_step``.
+    ``rising`` names the rule the next round's labels follow, *rise* (each
+    goes up by one, to at most n + 1) or *hold*, and ``due`` holds the nodes
+    that round recomputes: the only ones that may break the rule.  The
+    rounds' records go to ``run_sim``'s ``on_step``.
     """
 
     __slots__ = ("n", "start", "pre_deleted", "outcome", "vis", "dist", "pos", "explored",
-                 "iterations", "due")
+                 "iterations", "rising", "due")
 
     def __init__(self, n: int, start: int, pre_deleted: tuple[Edge, ...]) -> None:
         self.n = n
@@ -132,7 +119,8 @@ class SimTrace:
         self.pos = start
         self.explored = 1
         self.iterations = 0
-        self.due: set[int] | None = None
+        self.rising = False
+        self.due = {start}
 
     def visited(self) -> set[int]:
         return {v for v in range(self.n) if self.vis[v]}
@@ -155,31 +143,41 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     mutated by the deletions — except on the terminating round, whose
     deletions are skipped (the run is already over when they would land).
 
-    Only the visited nodes in ``run.due`` are recomputed.  When more than
-    half of the explored labels move, as on a path sweep, the next round
-    scans them all instead of collecting the neighbors of each change.
+    Each round follows a rule, *hold* (labels keep their value) or *rise*
+    (each goes up by one, to at most n + 1), and recomputes only the nodes in
+    ``run.due``: its exceptions to the rule, their neighbors, the cut
+    endpoints and the new visit make the next due set.  Any other node and
+    its neighbors followed the rule and kept their edges, and 1 + min over a
+    neighborhood commutes with both rules, so the rule gives its label.  Once
+    more than half of the nodes are exceptions, the rule flips, and one pass
+    finds the nodes that break the new one.
     """
     adj = graph.adjacency
     n = graph.n
     cap = n + 1
     old = run.dist
-    dist = list(old)  # a fresh list: every new label reads the previous round's
     vis = run.vis
-    due = run.due
-    changed = []
-    for v in compress(range(n), vis) if due is None else filter(vis.__getitem__, due):
-        best = old[v]
-        for u in adj[v]:
-            if old[u] < best:
-                best = old[u]
-        best = best + 1 if best < n else cap
-        if best != old[v]:
+    rising = run.rising
+    # a fresh list: every new label reads the previous round's
+    dist = [x + 1 if x < n else cap for x in old] if rising else list(old)
+    exceptions = []
+    for v in run.due:
+        if vis[v]:
+            best = old[v]
+            for u in adj[v]:
+                if old[u] < best:
+                    best = old[u]
+            best = best + 1 if best < n else cap
+        else:
+            best = 0  # unvisited: under *rise*, always an exception
+        if best != dist[v]:
             dist[v] = best
-            changed.append(v)
-    if 2 * len(changed) > run.explored:
-        due = None
-    else:
-        due = set(changed).union(*map(adj.__getitem__, changed))
+            exceptions.append(v)
+    if 2 * len(exceptions) > n:
+        rising = run.rising = not rising
+        exceptions = [v for v in range(n)
+                      if dist[v] != (min(old[v] + 1, cap) if rising else old[v])]
+    due = set(exceptions).union(*map(adj.__getitem__, exceptions))
     before = pos = run.pos
     moved = False
     explored = None
@@ -193,8 +191,7 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
                 vis[pos] = True
                 run.explored += 1
                 explored = pos
-                if due is not None:
-                    due.add(pos)
+                due.add(pos)
     run.dist, run.pos, run.due = dist, pos, due
     run.iterations += 1
     applied: tuple[Edge, ...] = ()
@@ -203,10 +200,30 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     else:
         for u, v in deletions:
             graph.delete_edge(u, v)
-            if due is not None:
-                due.update((u, v))
+            due.update((u, v))
         applied = tuple(normalize_edge(u, v) for u, v in deletions)
     return SimStep(run.iterations, before, pos, moved, explored, tuple(dist), applied)
+
+
+def trace_writer(write: Callable[[str], object], n: int) -> Callable[[SimStep], None]:
+    """An ``on_step`` consumer that passes each round's trace line, with its
+    newline, to ``write``, for a run on ``n`` nodes: the text ``encode_line``
+    gives the round's JSON object.  Int lists print the same in ``repr`` as
+    in JSON, and the labels' text is joined from a table of ``str(0 … n + 1)``.
+    """
+    text = [str(x) for x in range(n + 2)]
+
+    def on_step(step: SimStep) -> None:
+        deleted = [list(e) for e in step.deleted]
+        if not step.iteration:
+            write(f'{{"deleted": {deleted}, "iter": 0}}\n')
+            return
+        write(f'{{"deleted": {deleted}, "dist": [{", ".join(map(text.__getitem__, step.dist))}], '
+              f'"explored": {"null" if step.explored is None else step.explored}, '
+              f'"iter": {step.iteration}, "moved": {"true" if step.moved else "false"}, '
+              f'"pos_after": {step.pos_after}, "pos_before": {step.pos_before}}}\n')
+
+    return on_step
 
 
 def iteration_budget(n: int) -> int:

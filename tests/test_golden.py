@@ -58,6 +58,10 @@ CASES: dict[str, list[str]] = {
     "simulate-schedule": ["simulate", "--input", "ring.json", "--schedule", "sched.json",
                           "--output", TRACE],
     "simulate-no-output": ["simulate", "--input", "ring.json", "--schedule", "sched.json"],
+    "simulate-count-up": ["simulate", "--input", "ring.json", "--schedule",
+                          "countup-sched.json", "--output", TRACE],
+    "simulate-count-up-budget": ["simulate", "--input", "ring.json", "--schedule",
+                                 "countup-sched.json", "--budget", "40", "--output", TRACE],
     "duel-clique": ["duel", "nn", "clique", "--n", "6", "--output", TRACE],
     "duel-clique-budget": ["duel", "nn", "clique", "--n", "6", "--budget", "2",
                            "--output", TRACE],

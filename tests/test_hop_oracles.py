@@ -165,8 +165,8 @@ def full_scan_step(run, graph, deletions=()):
 
 
 def step_rounds(step, graph, start, schedule, budget):
-    """The records of a run played with ``step``, and for each round whether
-    the run's state then asked for a scan of every visited label."""
+    """The records of a run played with ``step``, each with the rule (True for
+    *rise*) and the due set that the run's state gave its round."""
     work = graph.copy()
     pre = schedule.edges_at(0)
     for u, v in pre:
@@ -174,7 +174,8 @@ def step_rounds(step, graph, start, schedule, budget):
     run = SimTrace(graph.n, start, pre)
     out = []
     while run.iterations < budget and run.outcome != "terminated":
-        out.append((step(run, work, schedule.edges_at(run.iterations + 1)), run.due is None))
+        rising, due = run.rising, set(run.due)
+        out.append((step(run, work, schedule.edges_at(run.iterations + 1)), rising, due))
     return out
 
 
@@ -338,16 +339,43 @@ def test_r1_r2_backs_off_repairs_that_keep_giving_up(monkeypatch):
         assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(trace, bad, g)
 
 
+def due_sets_oracle(graph, schedule, rounds):
+    """The due set of each round after the first, by definition: the nodes
+    whose label in the round before broke the round's rule, their neighbors,
+    and that round's new visit and cut endpoints."""
+    work = graph.copy()
+    for u, v in schedule.edges_at(0):
+        work.delete_edge(u, v)
+    n = graph.n
+    old = (0,) * n
+    out = []
+    for (step, _, _), (_, rising, _) in zip(rounds, rounds[1:]):
+        rule = [min(x + 1, n + 1) for x in old] if rising else old
+        exceptions = [v for v in range(n) if step.dist[v] != rule[v]]
+        due = set(exceptions).union(*(work.adjacency[v] for v in exceptions))
+        if step.explored is not None:
+            due.add(step.explored)
+        for u, v in step.deleted:
+            work.delete_edge(u, v)
+            due.update((u, v))
+        out.append(due)
+        old = step.dist
+    return out
+
+
 def same_rounds(g, start, schedule, budget):
-    """Assert that ``sim_step`` plays the rounds of the full scan; return for
-    each round whether the run then asked for a scan of every visited label."""
+    """Assert that ``sim_step`` plays the rounds of the full scan and that
+    each round recomputes exactly its due set; return each round's record
+    with the rule and the due set it started from."""
     got = step_rounds(sim_step, g, start, schedule, budget)
     want = step_rounds(full_scan_step, g, start, schedule, budget)
-    assert [s for s, _ in got] == [s for s, _ in want]
-    return [full for _, full in got]
+    assert [s for s, _, _ in got] == [s for s, _, _ in want]
+    assert [due for _, _, due in got[1:]] == due_sets_oracle(g, schedule, got)
+    return got
 
 
 @given(st.integers(1, 30), SEEDS)
+@example(15, 0)  # the rule flips while a node cut off from the walker sits at n + 1
 @settings(max_examples=80, deadline=None)
 def test_sim_step_matches_the_full_scan(n, seed):
     rng = random.Random(seed)
@@ -356,11 +384,52 @@ def test_sim_step_matches_the_full_scan(n, seed):
     same_rounds(g, rng.randrange(n), random_schedule(rng, g), budget)
 
 
-def test_sim_step_switches_between_due_nodes_and_the_full_scan():
-    """A path sweep moves most labels each round, so the next round scans them
-    all; on a clique most labels settle, so it recomputes only the due ones.
-    Both runs carry cuts."""
-    for g, start in ((path_graph(40), 13), (complete_graph(12), 0)):
-        schedule = random_schedule(random.Random(g.n), g, rounds=3 * g.n)
-        modes = same_rounds(g, start, schedule, 4 * g.n * g.n)
-        assert modes.count(True) > 1 and modes.count(False) > 1
+def count_up_case(n, seed):
+    """A sparse random graph, thinned in about one case of three, a start,
+    cuts that land between the last visit and the end of the uncut run, and
+    a budget that ends the run or stops it during that count-up."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n, rng.choice([0, 1, n // 4]))
+    if rng.random() < 0.3:
+        g = thinned_graph(rng, n, 0.7)
+    start = rng.randrange(n)
+    plain = step_rounds(full_scan_step, g, start, simulator.FailureSchedule(), 4 * n * n)
+    last = max((s.iteration for s, _, _ in plain if s.explored is not None), default=0)
+    pool = g.edges()
+    rng.shuffle(pool)
+    plan: dict[int, list] = {}
+    for e in pool[:rng.randint(0, len(pool) // 2)]:
+        plan.setdefault(rng.randint(last, len(plain)), []).append(e)
+    budget = rng.choice([4 * n * n, rng.randint(last, len(plain))])
+    return g, start, simulator.FailureSchedule(plan), budget
+
+
+@given(st.integers(1, 30), SEEDS)
+@example(14, 11)  # six cuts land just before rounds under *rise*
+@example(12, 9)  # disconnected: the unreachable unvisited nodes stay exceptions to *rise*
+@example(12, 2)  # the budget stops the run at round 37, under *rise*
+@settings(max_examples=80, deadline=None)
+def test_sim_step_matches_the_full_scan_through_the_count_up(n, seed):
+    """After the last visit every label counts up to n + 1, under *rise*."""
+    same_rounds(*count_up_case(n, seed))
+
+
+def test_sim_step_holds_or_rises():
+    """A path sweep and a clique with cuts each play rounds under both rules.
+    In the clique's count-up every label rises together, so after the round
+    that flips to *rise* a round recomputes little beyond the previous
+    round's cut endpoints."""
+    clique = complete_graph(30)
+    for g, start, schedule in (
+            (path_graph(40), 13, simulator.FailureSchedule({70: ((20, 21),)})),
+            (clique, 0, random_schedule(random.Random(30), clique, rounds=3 * clique.n))):
+        rounds = same_rounds(g, start, schedule, 4 * g.n * g.n)
+        rules = [rising for _, rising, _ in rounds]
+        assert rules.count(True) > 1 and rules.count(False) > 1
+    last = max(s.iteration for s, _, _ in rounds if s.explored is not None)
+    count_up = rounds[last:]
+    flip = next(i for i, (_, rising, _) in enumerate(count_up) if rising)
+    assert len(count_up) - flip > clique.n // 2
+    for (before, _, _), (_, rising, due) in zip(count_up[flip:], count_up[flip + 1:]):
+        assert rising
+        assert len(due - {v for e in before.deleted for v in e}) <= 2

@@ -11,9 +11,9 @@ from nntrav.simulator import (
     ScheduleError,
     check_progress,
     check_r1_r2,
-    encode_line,
     iteration_budget,
     run_sim,
+    trace_writer,
 )
 from helpers import (
     explored_order,
@@ -59,8 +59,9 @@ def test_pre_run_deletion_isolates_start():
     assert trace.visited() == {0}
     assert trace.iterations == 2
     assert [s.iteration for s in steps] == [0, 1, 2]
-    first = json.loads(encode_line(steps[0].as_json_obj()))
-    assert first == {"iter": 0, "deleted": [[0, 1]]}
+    lines = []
+    trace_writer(lines.append, 2)(steps[0])
+    assert json.loads(lines[0]) == {"iter": 0, "deleted": [[0, 1]]}
 
 
 def test_mid_run_deletion_strands_the_tail():
@@ -193,7 +194,11 @@ def test_invalid_start_raises():
 
 def test_json_lines_shape():
     trace, steps = run_recorded(complete_graph(3), 1)
-    lines = [*(encode_line(s.as_json_obj()) for s in steps), *trace.to_json_lines()]
+    lines = []
+    write = trace_writer(lines.append, 3)
+    for step in steps:
+        write(step)
+    lines.extend(trace.to_json_lines())
     summary = json.loads(lines[-1])
     assert summary["outcome"] == "terminated"
     assert summary["visited"] == [0, 1, 2]

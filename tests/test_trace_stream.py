@@ -6,12 +6,15 @@ import gc
 import io
 import json
 import os
+import random
 import stat
 import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nntrav.cli import main
 from nntrav.games import (
@@ -24,9 +27,16 @@ from nntrav.games import (
 )
 from nntrav.graph import GraphError, complete_graph, instance_from_json_obj
 from nntrav.layered_ring import build_dfs_killer
-from nntrav.simulator import FailureSchedule
+from nntrav.simulator import FailureSchedule, trace_writer
 
-from helpers import game_lines_oracle, play_recorded, run_recorded, sim_lines_oracle
+from helpers import (
+    game_lines_oracle,
+    play_recorded,
+    random_connected_graph,
+    random_schedule,
+    run_recorded,
+    sim_lines_oracle,
+)
 
 INPUTS = Path(__file__).with_name("golden") / "inputs"
 RING = INPUTS / "ring.json"
@@ -102,7 +112,7 @@ def test_duel_traces_match_the_per_step_encoder(tmp_path, agent, spec):
         assert run([*argv, *extra]) == (want_rc, want, "")
         trace.unlink()
     if spec == "killer" and agent == "dfs-restart":
-        assert full.count('"deleted": [[') >= 2  # the cuts take the encode_line path
+        assert full.count('"deleted": [[') >= 2  # moves that cut edges, written by the f-string
     if spec == "schedule":
         lines = full.splitlines()
         assert json.loads(lines[0])["step"] == 0  # the pre-run cut
@@ -125,6 +135,23 @@ def test_simulate_traces_match_the_per_round_encoder(tmp_path, budget):
     rc, out, _ = run([*argv, "--output", out_file])
     assert rc == want_rc and out_file.read_text() == want
     assert json.loads(out)["r1_r2"] == json.loads(out)["progress"] == "ok"
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_round_lines_match_the_per_round_encoder(n, seed):
+    """Random runs with pre-run and in-run cuts, to the end or a random
+    budget: each record's line is the text of its JSON object."""
+    rng = random.Random(seed)
+    graph = random_connected_graph(rng, n)
+    budget = rng.choice([None, rng.randint(0, 4 * n)])
+    trace, steps = run_recorded(graph, rng.randrange(n), random_schedule(rng, graph), budget)
+    got = []
+    write = trace_writer(got.append, n)
+    for step in steps:
+        write(step)
+    got.extend(line + "\n" for line in trace.to_json_lines())
+    assert got == [line + "\n" for line in sim_lines_oracle(trace, steps)]
 
 
 BAD_SCHEDULE = {"deletions": [{"iter": 3, "edges": [[0, 200]]}]}
