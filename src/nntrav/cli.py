@@ -34,7 +34,6 @@ from .graph import (
     instance_to_json_obj,
     path_graph,
     random_metric_cost,
-    validate_traversal,
 )
 from .nn import (
     OPT_ORACLE_LIMIT,
@@ -300,33 +299,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # --- traverse ----------------------------------------------------------------
 
 
-def _certified_opt(graph: Graph, cost: CostFunction, sidecar: dict) -> int | None:
-    """A verified adjacency-only full route pins the optimal cost at n − 1.
+def _certified_opt(cost: CostFunction, sidecar: dict) -> int | None:
+    """A full route measured at cost n − 1 pins the optimal cost there.
 
-    Only hop metrics qualify: there every edge costs 1 and no step costs less.
-    A certificate of any other shape is ignored, never an error.
+    Only hop metrics qualify: there no step costs less than 1.  Any other
+    certificate, or a route that is not one, is ignored, never an error.
     """
     routes = sidecar.get("routes")
     route = routes.get("hamiltonian") if isinstance(routes, dict) else None
     if cost.kind != "hop" or not isinstance(route, list) or not {int}.issuperset(map(type, route)):
         return None
     try:
-        validate_traversal(route, graph.n)
+        return cost.n - 1 if cost_of(route, cost) == cost.n - 1 else None
     except GraphError:
         return None
-    if all(graph.has_edge(route[i], route[i + 1]) for i in range(len(route) - 1)):
-        return graph.n - 1
-    return None
 
 
 def cmd_traverse(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    graph, cost, obj = _load_instance(args.input)
+    _, cost, obj = _load_instance(args.input)
     sidecar = _sidecar(args.input, obj)
     ties = _parse_ties(args.ties, seed)
-    order = nn_traversal(cost, args.start, ties)
-    profile = lambda_profile(order, cost)
-    total = sum(profile.values())
+    order, steps = nn_traversal(cost, args.start, ties)
+    profile = lambda_profile(steps)
+    total = sum(steps)
     violation = cost.triangle_violation()
     metric = violation is None
 
@@ -336,7 +332,7 @@ def cmd_traverse(args: argparse.Namespace) -> int:
         opt, _ = opt_traversal(cost)
         opt_source = "oracle"
     else:
-        certified = _certified_opt(graph, cost, sidecar)
+        certified = _certified_opt(cost, sidecar)
         if certified is not None:
             opt = certified
             opt_source = "certificate"
@@ -605,7 +601,7 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
         m, k = row["m"], row["k"]
         lr = _build_lr_pow2(m, k)
         hop = CostFunction.hop_metric(lr.graph)
-        value = cost_of(nn_traversal(hop, 0), hop)
+        value = sum(nn_traversal(hop, 0)[1])
         bound = lr.n - 1
         out.update(family="lr-pow2", n=lr.n, m=m, k=k,
                    value=value, bound=bound, ratio=f"{value}/{bound}")
@@ -625,8 +621,7 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
         n = row["n"]
         eff = split_seed(seed, f"bench/{index}/random-metric/{n}")
         cost = random_metric_cost(n, random.Random(eff), row.get("max_cost", 9))
-        order = nn_traversal(cost, row.get("start", 0))
-        value = cost_of(order, cost)
+        value = sum(nn_traversal(cost, row.get("start", 0))[1])
         opt, _ = opt_traversal(cost)
         out.update(family="random-metric", n=n, value=value,
                    bound=nn_upper_bound(n, opt), ratio=f"{value}/{opt}", seed=eff)

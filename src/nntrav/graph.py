@@ -87,11 +87,6 @@ class Graph:
     def edge_count(self) -> int:
         return self._edge_count
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adj[u]
-
     @property
     def adjacency(self) -> list[set[int]]:
         """Every neighbor set, indexed by node id.  Read-only.

@@ -14,7 +14,6 @@ from .graph import (
     _field_min,
     _packed,
     nearest_of,
-    validate_traversal,
 )
 
 OPT_ORACLE_LIMIT = 13
@@ -57,35 +56,38 @@ def _nearest_unvisited(c: CostFunction, pos: int, unvisited: set[int]) -> tuple[
     return best, sorted(v for v in unvisited if row[v] == best)
 
 
-def nn_traversal(c: CostFunction, start: int,
-                 tie_break: Callable[[list[int]], int] | None = None) -> list[int]:
+def nn_traversal(c: CostFunction, start: int, tie_break: Callable[[list[int]], int] | None = None
+                 ) -> tuple[list[int], list[int]]:
     """Greedy traversal: repeatedly move to a nearest unvisited node.
 
+    Returns ``(order, steps)``: ``steps[i]`` is the cost of the step from
+    ``order[i]`` to ``order[i + 1]``, the distance the search for it found.
     ``tie_break(tied)`` picks among equally-near candidates, given in
     ascending order; without one the lowest id wins.
     """
     if not 0 <= start < c.n:
         raise GraphError(f"invalid start node {start}")
     order = [start]
+    steps: list[int] = []
     unvisited = set(range(c.n))
     unvisited.discard(start)
     pos = start
     while unvisited:
-        _, tied = _nearest_unvisited(c, pos, unvisited)
+        dist, tied = _nearest_unvisited(c, pos, unvisited)
         pos = tied[0] if len(tied) == 1 or tie_break is None else tie_break(tied)
         order.append(pos)
+        steps.append(dist)
         unvisited.discard(pos)
-    return order
+    return order, steps
 
 
 # --- step-cost profile ------------------------------------------------------
 
 
-def lambda_profile(order: Sequence[int], c: CostFunction) -> dict[int, int]:
-    """``{j: steps of cost >= j}`` for each level j >= 1, ascending.  Summing
+def lambda_profile(steps: Sequence[int]) -> dict[int, int]:
+    """``{j: steps of cost >= j}`` for each level j >= 1, ascending, given a
+    traversal's step costs (as :func:`nn_traversal` returns them).  Summing
     the counts integrates the step costs, so the sum is the traversal cost."""
-    validate_traversal(order, c.n)
-    steps = [c.cost(order[i], order[i + 1]) for i in range(len(order) - 1)]
     top = max(steps, default=0)
     if top >= sys.maxsize:  # the histogram below needs top + 1 list slots
         raise GraphError(f"step cost {top} is too large for a step-cost profile")
@@ -158,17 +160,23 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
 # --- bounds -----------------------------------------------------------------
 
 
+def log_ceiling(a: int, num: int, den: int = 1) -> int:
+    """Ceiling of a * (1 + ln(num / den)) in float arithmetic, the form of
+    every log-factor budget below and of :func:`tree.nnt_bound_check`'s."""
+    if a < 0:
+        raise GraphError("a bound's cost must be nonnegative")
+    try:
+        return math.ceil(a * (1.0 + math.log(num / den)))
+    except OverflowError:
+        raise GraphError("a cost is too large for the float bound") from None
+
+
 def nn_upper_bound(n: int, opt_cost: int) -> int:
     """Ceiling of opt_cost * (1 + ln(n-1)): a budget every greedy traversal of a
     metric instance on n nodes must respect."""
     if n < 2:
         raise GraphError(f"bound needs n >= 2, got {n}")
-    if opt_cost < 0:
-        raise GraphError("optimal cost must be nonnegative")
-    try:
-        return math.ceil(opt_cost * (1.0 + math.log(n - 1)))
-    except OverflowError:
-        raise GraphError("optimal cost is too large for the float bound") from None
+    return log_ceiling(opt_cost, n - 1)
 
 
 def aspect_ratio_bound(opt_cost: int, lo: int, hi: int) -> int:
@@ -176,9 +184,4 @@ def aspect_ratio_bound(opt_cost: int, lo: int, hi: int) -> int:
     max pair costs (:meth:`CostFunction.pair_cost_extremes`)."""
     if lo <= 0:
         raise GraphError("aspect ratio undefined: some distinct pair has cost 0")
-    if opt_cost < 0:
-        raise GraphError("optimal cost must be nonnegative")
-    try:
-        return math.ceil(opt_cost * (1.0 + math.log(hi / lo)))
-    except OverflowError:
-        raise GraphError("optimal cost or hi / lo is too large for the float bound") from None
+    return log_ceiling(opt_cost, hi, lo)

@@ -8,9 +8,8 @@ spanning tree.
 
 from __future__ import annotations
 
-import math
-
 from .graph import CostFunction, Edge, GraphError, normalize_edge, validate_traversal
+from .nn import log_ceiling
 
 
 def shuffled_ranks(n: int, rng) -> list[int]:
@@ -88,8 +87,5 @@ def nnt_bound_check(n: int, tree_total: int, mst: int) -> tuple[int, bool]:
     caller checks that."""
     if n < 1:
         raise GraphError(f"bound needs n >= 1, got {n}")
-    try:
-        budget = math.ceil(2 * (1 + math.log(n)) * mst)
-    except OverflowError:
-        raise GraphError("MST cost is too large for the float bound") from None
+    budget = log_ceiling(2 * mst, n)
     return budget, tree_total <= budget

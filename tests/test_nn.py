@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -24,11 +25,13 @@ from nntrav.nn import (
     _nearest_unvisited,
     aspect_ratio_bound,
     lambda_profile,
+    log_ceiling,
     nn_traversal,
     nn_upper_bound,
     opt_traversal,
     scripted,
 )
+from nntrav.tree import nnt_bound_check
 from helpers import (
     metric_closure,
     random_connected_graph,
@@ -41,8 +44,9 @@ PATH4 = metric_closure(path_graph(4))
 
 def test_greedy_walk_on_path():
     # start in the middle: the id-1 node walks to 0 first, then crosses back
-    order = nn_traversal(PATH4, 1)
+    order, steps = nn_traversal(PATH4, 1)
     assert order == [1, 0, 2, 3]
+    assert steps == [1, 2, 1]
     assert cost_of(order, PATH4) == 4
 
 
@@ -57,7 +61,7 @@ def test_greedy_walk_hop_vs_matrix_agree():
 
 
 def test_tied_candidates_ascend_whatever_the_set_order():
-    # nn_traversal's own set(range(n)) iterates in ascending order in CPython,
+    # nn_traversal's own unvisited set iterates in ascending order in CPython,
     # but {9, 2, 5} iterates as 9, 2, 5: the tied list must still ascend
     for c in (metric_closure(complete_graph(10)), CostFunction.hop_metric(complete_graph(10))):
         assert _nearest_unvisited(c, 0, {9, 2, 5}) == (1, [2, 5, 9])
@@ -90,7 +94,7 @@ def test_disconnected_hop_walk_raises():
 
 
 def test_lambda_profile_path_example():
-    prof = lambda_profile([1, 0, 2, 3], PATH4)
+    prof = lambda_profile([1, 2, 1])  # the steps of [1, 0, 2, 3] on PATH4
     assert prof == {1: 3, 2: 1}
     assert sum(prof.values()) == 4
     assert prof.get(1, 0) == 3 and prof.get(2, 0) == 1
@@ -99,14 +103,12 @@ def test_lambda_profile_path_example():
 
 def test_lambda_profile_rejects_a_cost_past_the_index_range():
     # a histogram of sys.maxsize + 1 slots cannot be built; the error names the cost
-    c = CostFunction.from_matrix([[0, sys.maxsize], [sys.maxsize, 0]])
     with pytest.raises(GraphError, match=f"step cost {sys.maxsize} "):
-        lambda_profile([0, 1], c)
+        lambda_profile([sys.maxsize])
 
 
 def test_lambda_profile_single_step():
-    c = CostFunction.from_matrix([[0, 5], [5, 0]])
-    prof = lambda_profile([0, 1], c)
+    prof = lambda_profile([5])
     assert prof == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
     assert max(prof, default=0) == 5
 
@@ -116,8 +118,8 @@ def test_lambda_profile_single_step():
 def test_lambda_profile_invariants(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
-    order = nn_traversal(c, rng.randrange(n))
-    prof = lambda_profile(order, c)
+    order, steps = nn_traversal(c, rng.randrange(n))
+    prof = lambda_profile(steps)
     assert sum(prof.values()) == cost_of(order, c)
     assert prof.get(1, 0) <= n - 1
     levels = sorted(prof)
@@ -138,12 +140,7 @@ def _levels_oracle(steps: list[int]) -> dict[int, int]:
 @given(st.lists(st.one_of(st.just(0), st.integers(0, 12), st.integers(1000, 3000)), max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_lambda_profile_matches_the_per_level_loop(steps):
-    # a chain 0, 1, 2, ... whose i-th step costs steps[i]; other pairs cost 0
-    n = len(steps) + 1
-    mat = [[0] * n for _ in range(n)]
-    for i, s in enumerate(steps):
-        mat[i][i + 1] = mat[i + 1][i] = s
-    prof = lambda_profile(list(range(n)), CostFunction.from_matrix(mat))
+    prof = lambda_profile(steps)
     # same levels, same counts, and the same ascending key order
     assert list(prof.items()) == list(_levels_oracle(steps).items())
 
@@ -222,7 +219,7 @@ def test_profile_bounded_by_block_count(n, seed):
     c = random_metric_cost(n, random.Random(seed))
     opt, route = opt_traversal(c)
     for start in range(n):
-        prof = lambda_profile(nn_traversal(c, start), c)
+        prof = lambda_profile(nn_traversal(c, start)[1])
         for j in range(1, max(prof, default=0) + 1):
             k = len(partition_route(route, j, c).parts)
             assert prof.get(j, 0) <= k - 1
@@ -234,7 +231,7 @@ def test_profile_bounded_by_opt_over_level(n, seed):
     c = random_metric_cost(n, random.Random(seed))
     opt, _ = opt_traversal(c)
     for start in range(n):
-        prof = lambda_profile(nn_traversal(c, start), c)
+        prof = lambda_profile(nn_traversal(c, start)[1])
         assert max(prof, default=0) <= opt
         for j, cnt in prof.items():
             assert cnt <= opt // j
@@ -243,8 +240,8 @@ def test_profile_bounded_by_opt_over_level(n, seed):
 def test_profile_bound_needs_the_triangle_inequality():
     # negative control: the four-point violator exceeds floor(OPT/j) above OPT
     c = unbounded_ratio_instance(10)
-    order = nn_traversal(c, 3, scripted([3, 2, 0, 1]))
-    prof = lambda_profile(order, c)
+    _, steps = nn_traversal(c, 3, scripted([3, 2, 0, 1]))
+    prof = lambda_profile(steps)
     opt, _ = opt_traversal(c)
     assert opt == 5
     assert max(prof, default=0) == 10 > opt
@@ -310,9 +307,67 @@ def test_aspect_ratio_bound_values():
         aspect_ratio_bound(-1, 1, 4)
 
 
+def _same_as_float_expression(bound, former) -> None:
+    """``bound()`` gives what ``former()``, the float expression the bound
+    computed before the bounds shared log_ceiling, gave: the same int, or
+    GraphError where the expression overflowed."""
+    try:
+        expected = former()
+    except OverflowError:
+        with pytest.raises(GraphError, match="too large for the float bound"):
+            bound()
+    else:
+        assert bound() == expected
+
+
+# small values, values either side of 2**53 (where floats stop holding every
+# int), and costs past the float range (2**1024), which overflow; node counts
+# stay within it
+NEAR_2_53 = st.integers(2**53 - 10**3, 2**53 + 10**3)
+COSTS = st.one_of(st.integers(0, 10**6), NEAR_2_53, st.integers(0, 2**1100))
+COUNTS = st.one_of(st.integers(2, 10**6), NEAR_2_53, st.integers(2, 2**1000))
+
+
+@given(COUNTS, COSTS)
+@settings(max_examples=200, deadline=None)
+def test_nn_upper_bound_is_its_former_float_expression(n, opt):
+    _same_as_float_expression(lambda: nn_upper_bound(n, opt),
+                              lambda: math.ceil(opt * (1.0 + math.log(n - 1))))
+
+
+@given(COSTS, COSTS.filter(bool), COSTS)
+@settings(max_examples=200, deadline=None)
+def test_aspect_ratio_bound_is_its_former_float_expression(opt, lo, span):
+    hi = lo + span
+    _same_as_float_expression(lambda: aspect_ratio_bound(opt, lo, hi),
+                              lambda: math.ceil(opt * (1.0 + math.log(hi / lo))))
+
+
+@given(COUNTS, COSTS)
+@settings(max_examples=200, deadline=None)
+def test_nnt_budget_is_its_former_float_expression(n, mst):
+    _same_as_float_expression(lambda: nnt_bound_check(n, 0, mst)[0],
+                              lambda: math.ceil(2 * (1 + math.log(n)) * mst))
+
+
+def test_log_ceiling_values_and_overflow():
+    assert log_ceiling(34, 34) == 154 == nn_upper_bound(35, 34)
+    assert log_ceiling(10, 4, 1) == 24 == aspect_ratio_bound(10, 1, 4)
+    assert log_ceiling(5, 7, 7) == 5
+    # past 2**53 the float ceiling is not exact: opt = 2**60 + 1 becomes 2**60
+    assert log_ceiling(2**60 + 1, 1) == 2**60
+    for args in ((10**400, 3), (10**308, 10**10), (1, 10**400), (1, 10**400, 3)):
+        with pytest.raises(GraphError, match="too large for the float bound"):
+            log_ceiling(*args)
+    with pytest.raises(GraphError):
+        nnt_bound_check(5, 0, 10**308)
+    with pytest.raises(GraphError, match="nonnegative"):
+        log_ceiling(-1, 3)
+
+
 def test_scripted_ties_reproduce_target_route():
     c = unbounded_ratio_instance(10)
-    assert nn_traversal(c, 3, scripted([3, 2, 0, 1])) == [3, 2, 0, 1]
+    assert nn_traversal(c, 3, scripted([3, 2, 0, 1]))[0] == [3, 2, 0, 1]
     assert cost_of([3, 2, 0, 1], c) == 13
     # a preference that names neither tied candidate is a hard error
     with pytest.raises(GraphError):
@@ -321,17 +376,18 @@ def test_scripted_ties_reproduce_target_route():
 
 def test_seeded_random_ties_are_reproducible():
     c = metric_closure(complete_graph(9))
-    a = nn_traversal(c, 0, random.Random(42).choice)
-    b = nn_traversal(c, 0, random.Random(42).choice)
+    a, _ = nn_traversal(c, 0, random.Random(42).choice)
+    b, _ = nn_traversal(c, 0, random.Random(42).choice)
     assert a == b
     assert validate_nn_traversal(c, a) is None
-    seen = {tuple(nn_traversal(c, 0, random.Random(s).choice)) for s in range(30)}
+    seen = {tuple(nn_traversal(c, 0, random.Random(s).choice)[0]) for s in range(30)}
     assert len(seen) > 1  # the seed actually matters on an all-ties instance
 
 
 def test_lowest_id_is_the_default():
     c = metric_closure(complete_graph(5))
-    assert nn_traversal(c, 2) == nn_traversal(c, 2, lambda tied: tied[0]) == [2, 0, 1, 3, 4]
+    expected = ([2, 0, 1, 3, 4], [1, 1, 1, 1])
+    assert nn_traversal(c, 2) == nn_traversal(c, 2, lambda tied: tied[0]) == expected
 
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
@@ -339,7 +395,7 @@ def test_lowest_id_is_the_default():
 def test_greedy_output_always_validates(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
-    order = nn_traversal(c, rng.randrange(n))
+    order, _ = nn_traversal(c, rng.randrange(n))
     assert validate_nn_traversal(c, order) is None
 
 
@@ -351,4 +407,4 @@ def test_greedy_cost_within_log_budget(n, seed):
     opt, _ = opt_traversal(c)
     bound = nn_upper_bound(n, opt)
     for start in range(n):
-        assert cost_of(nn_traversal(c, start), c) <= bound
+        assert cost_of(nn_traversal(c, start)[0], c) <= bound

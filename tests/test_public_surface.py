@@ -14,7 +14,7 @@ PACKAGE = ROOT / "src" / "nntrav"
 
 # name -> why it stays without a caller
 ALLOWED = {
-    "vertex_count_formula": "the node-count pre-flight (ROADMAP item 4) is to call it",
+    "vertex_count_formula": "the node-count pre-flight (ROADMAP item 3) is to call it",
 }
 
 
