@@ -155,12 +155,14 @@ def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
 
     A line is the text ``encode_line`` gives the step's JSON object.  Every
     move that raises no event, with or without cuts, has a fixed shape and is
-    built by one f-string; int lists print the same in ``repr`` as in JSON.
+    built by one f-string; int lists print the same in ``repr`` as in JSON,
+    and a move without cuts, the common case, writes ``[]`` without building a list.
     """
 
     def on_step(step, frm, to, deleted, events) -> None:
         if step and not events:
-            write(f'{{"deleted": {[list(e) for e in deleted]}, "events": [], "from": {frm}, '
+            cuts = [list(e) for e in deleted] if deleted else "[]"
+            write(f'{{"deleted": {cuts}, "events": [], "from": {frm}, '
                   f'"step": {step}, "to": {to}}}\n')
         else:
             obj = {"step": step, "deleted": [list(e) for e in deleted]}
@@ -212,18 +214,23 @@ class DfsRestartAgent(AgentStrategy):
     search; backtracking retraces the walker's own stack.  If the stack edge
     has been deleted, the walker begins a completely new search rooted where
     it stands.  It halts when a search finishes back at its root.
+
+    ``reset`` keeps the graph's neighbor bitsets, which follow its deletions,
+    so ``decide`` must be handed the graph the walker was reset with, as
+    ``play_game`` does.
     """
 
     name = "dfs-restart"
 
     def reset(self, graph: Graph, start: int) -> None:
+        self.masks = graph.masks
         self.stack: list[int] = []
         self.seen = 1 << start  # bitset of the nodes the current search has reached
         self.attempt = 1
         self.last_kind: str | None = None
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
-        masks = graph.masks
+        masks = self.masks
         stack = self.stack
         while True:
             fresh = masks[pos] & ~self.seen

@@ -194,6 +194,8 @@ def bfs_levels(graph: Graph, sources: Iterable[int]) -> Iterator[list[int]]:
 
 def neighbors_of(masks: list[int], nodes: int) -> int:
     """The union of the neighbor bitsets of the nodes in bitset ``nodes``."""
+    if not nodes & (nodes - 1):  # one node or none: most walk-back levels
+        return masks[nodes.bit_length() - 1] if nodes else 0
     out = 0
     while nodes:
         low = nodes & -nodes
@@ -216,14 +218,23 @@ def bit_levels(graph: Graph, source: int) -> Iterator[int]:
 def _hop_diameter(graph: Graph) -> int:
     """Largest hop distance between two nodes of a connected graph.
 
-    One bit-parallel BFS from all sources at once (the packing of Akiba,
-    Iwata & Yoshida, SIGMOD 2013): ``reach[v]`` is the bitset of sources
-    within the current radius of ``v``, and each round ORs in the neighbors'
-    sets.  The round in which every set fills up is the diameter; a round
-    that changes nothing before then means the graph is disconnected.
+    True twins (nodes with the same closed neighbourhood) first merge into
+    one node: two nodes in different classes are as far apart as their
+    classes, and two distinct twins are at distance 1 (the twin step of
+    Coudert, Ducoffe & Popa, SODA 2018).  On the quotient, one bit-parallel
+    BFS from all sources at once (the packing of Akiba, Iwata & Yoshida,
+    SIGMOD 2013): ``reach[v]`` is the bitset of sources within the current
+    radius of ``v``, and each round ORs in the neighbors' sets.  The round in
+    which every set fills up is the diameter; a round that changes nothing
+    before then means the graph is disconnected.
     """
-    n = graph.n
-    adj = graph.adjacency
+    ids: dict[frozenset[int], int] = {}
+    cls = [ids.setdefault(frozenset(nbrs).union((v,)), len(ids))
+           for v, nbrs in enumerate(graph.adjacency)]
+    n = len(ids)
+    if n == 1:  # a complete graph
+        return min(graph.n - 1, 1)
+    adj = [{cls[u] for u in closed} - {c} for c, closed in enumerate(ids)]
     full = (1 << n) - 1
     reach = [1 << v for v in range(n)]
     radius = 0

@@ -14,6 +14,8 @@ nearest unvisited node) hold regardless.
 from __future__ import annotations
 
 import json
+import struct
+import sys
 from operator import gt, lt
 from typing import Callable, Iterable, NamedTuple
 
@@ -330,20 +332,41 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
     labels exceed them.  Eight give-ups in a row cost about one BFS, so after
     that many the checker backs off: it passes over 1, 2, 4, ... chances to
     repair between attempts, until an attempt finishes.
+
+    Each round's labels are packed into one int, a field per node whose top
+    bit is a guard no legal label (at most n + 1) reaches, so one big-int
+    subtract tests each rule for every node at once, as ``graph._packed``
+    compares rows.  Labels that do not pack cleanly, and any round whose
+    packed test fails, go to the scans, which name the first violation.
     """
     work = graph.copy()
     adj = work.adjacency
     n = graph.n
     limit = n // 8
+    code, bits = next((c, b) for c, b in (("H", 16), ("I", 32), ("Q", 64)) if n + 1 < 1 << b - 1)
+    fields = struct.Struct(f"={n}{code}")
+    guard = int.from_bytes(fields.pack(*[1 << bits - 1] * n), sys.byteorder)
+
+    def packed(labels) -> int | None:
+        """``labels`` as one int with field v holding label v, or None when
+        one is not an int in [0, guard bit) or their count is not n."""
+        try:
+            p = int.from_bytes(fields.pack(*labels), sys.byteorder)
+        except struct.error:
+            return None
+        return None if p & guard else p
+
     prev: tuple[int, ...] = (0,) * n
     visited: list[bool] = []  # filled from the first record's start node
     true = [0] * n  # a lower bound until the first BFS
+    packed_prev: int | None = 0  # packed(prev); None when prev does not pack
+    packed_true = 0  # packed(true)
     exact = False
     gave_up = skip = 0  # give-ups in a row; chances to repair still to pass over
 
     def repaired(seeds: Iterable[int]) -> bool:
         """Whether ``true`` is still exact after a visit or cut at ``seeds``."""
-        nonlocal gave_up, skip
+        nonlocal gave_up, skip, packed_true
         if not exact:
             return False
         if skip:
@@ -351,6 +374,7 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
             return False
         if _repair(adj, true, seeds, limit):
             gave_up = 0
+            packed_true = packed(true)
             return True
         gave_up += 1
         if gave_up >= 8:
@@ -358,7 +382,7 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
         return False
 
     def check(step: SimStep) -> str | None:
-        nonlocal prev, true, exact
+        nonlocal prev, packed_prev, true, packed_true, exact
         if not visited:
             visited.extend(v == step.pos_before for v in range(n))
         if step.iteration:
@@ -366,18 +390,24 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
                 visited[step.explored] = True
                 exact = repaired((step.explored,))
             dist = step.dist
-            # a C-speed test first; the scans below name the first violation
-            if any(map(lt, dist, prev)):
+            d = packed(dist)
+            # every guard bit kept: dist >= prev (R1), and true >= dist, in every field
+            r1 = d is not None and packed_prev is not None and (
+                ((d | guard) - packed_prev) & guard == guard)
+            r2 = d is not None and ((packed_true | guard) - d) & guard == guard
+            # else a C-speed test; the scans below name the first violation
+            if not r1 and any(map(lt, dist, prev)):
                 for v in range(n):
                     if dist[v] < prev[v]:
                         return (
                             f"R1 violated at iteration {step.iteration}: "
                             f"dist[{v}] decreased {prev[v]} -> {dist[v]}"
                         )
-            if any(map(gt, dist, true)):
+            if not r2 and any(map(gt, dist, true)):
                 if not exact:
                     # unreachable => n + 1, the label cap
                     true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
+                    packed_true = packed(true)
                     exact = True
                 for v in range(n):
                     if visited[v] and dist[v] > true[v]:
@@ -385,7 +415,7 @@ def check_r1_r2(graph: Graph) -> Callable[[SimStep], str | None]:
                             f"R2 violated at iteration {step.iteration}: "
                             f"dist[{v}] = {dist[v]} exceeds true distance {true[v]}"
                         )
-            prev = dist
+            prev, packed_prev = dist, d
         if step.deleted:
             seeds = []
             for u, v in step.deleted:

@@ -55,6 +55,7 @@ CASES: dict[str, list[str]] = {
     "traverse-zero-pair": ["traverse", "--input", "zero-pair.json", "--seed", "0"],
     "traverse-non-metric": ["traverse", "--input", "four-point.json", "--start", "3",
                             "--seed", "0"],
+    "traverse-complete": ["traverse", "--input", "complete6.json", "--seed", "0"],
     "simulate-schedule": ["simulate", "--input", "ring.json", "--schedule", "sched.json",
                           "--output", TRACE],
     "simulate-no-output": ["simulate", "--input", "ring.json", "--schedule", "sched.json"],

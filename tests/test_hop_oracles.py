@@ -1,15 +1,17 @@
 """The hop hot paths against the whole-graph algorithms they replaced.
 
 Each oracle here is the earlier implementation, kept only to pin the faster
-one: all-pairs BFS rows for the hop cost extremes, set-based BFS runs (the
-nearest unvisited node, then a full BFS from it) for the nn agent's bitset
-searches, the set-based restarting DFS for its bitset one, a fresh
-multi-source BFS every round for the R1/R2 checker and for its local
-repair, and a scan of every visited label for the walker's rounds.
+one: all-pairs BFS rows for the hop cost extremes (whose diameter is taken
+on the true-twin quotient), set-based BFS runs (the nearest unvisited node,
+then a full BFS from it) for the nn agent's bitset searches, the set-based
+restarting DFS for its bitset one, a fresh multi-source BFS every round for
+the R1/R2 checker and for its local repair, and a scan of every visited
+label for the walker's rounds.
 """
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +19,17 @@ from nntrav import simulator
 from nntrav.games import AgentStrategy, DfsRestartAgent, NnAgent, ScheduleAdversary
 from nntrav.graph import (
     CostFunction,
+    Graph,
     GraphError,
     UnreachableError,
+    _hop_diameter,
     bfs_distances,
     complete_graph,
     nearest_of,
     normalize_edge,
     path_graph,
 )
+from nntrav.layered_ring import build_lr
 from nntrav.simulator import SimStep, SimTrace, _repair, check_r1_r2, sim_step
 
 from helpers import (
@@ -206,11 +211,54 @@ def test_hop_extremes_match_all_pairs_rows(n, seed, keep):
     got = outcome(cost.pair_cost_extremes)
     assert got == outcome(extremes_oracle, cost)
     if n == 1:
-        assert got[0] is GraphError
+        assert got[0] is GraphError and _hop_diameter(g) == 0
     elif len(g.component(0)) < g.n:
         assert got[0] is UnreachableError
     else:
         assert got[0] == 1
+
+
+def twin_graph(rng, k, keep):
+    """Each node of a random connected graph on ``k`` nodes blown up into a
+    clique of 1-3 true twins, joined to the classes of its base neighbors;
+    each base edge is kept with probability ``keep``, and up to two stray
+    edges split some classes."""
+    base = random_connected_graph(rng, k)
+    members, n = [], 0
+    for _ in range(k):
+        size = rng.randint(1, 3)
+        members.append(range(n, n + size))
+        n += size
+    edges = {(u, v) for c in members for u in c for v in c if u < v}
+    for a, b in base.edges():
+        if rng.random() < keep:
+            edges.update((u, v) for u in members[a] for v in members[b])
+    for _ in range(rng.randint(0, 2) if n > 1 else 0):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+@given(st.integers(1, 12), SEEDS, st.floats(0.6, 1.0))
+@example(1, 0, 1.0)
+@example(2, 0, 0.0)  # two classes, no edge between them
+@settings(max_examples=120, deadline=None)
+def test_twin_quotient_diameter_matches_all_pairs_rows(k, seed, keep):
+    g = twin_graph(random.Random(seed), k, keep)
+    cost = CostFunction.hop_metric(g)
+    assert outcome(cost.pair_cost_extremes) == outcome(extremes_oracle, cost)
+
+
+@pytest.mark.parametrize("graph", [
+    *(complete_graph(n) for n in range(2, 7)),
+    *(path_graph(n) for n in range(2, 7)),
+    *(build_lr(nu, k).graph for nu, k in ((4, 1), (8, 2), (12, 2), (16, 3))),
+    Graph(2),
+    Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),  # two 3-cliques
+], ids=repr)
+def test_twin_quotient_diameter_on_cliques_paths_and_rings(graph):
+    """A clique is one class: diameter 1.  Two cliques apart stay apart."""
+    cost = CostFunction.hop_metric(graph)
+    assert outcome(cost.pair_cost_extremes) == outcome(extremes_oracle, cost)
 
 
 @given(st.integers(2, 14), SEEDS, st.floats(0.3, 1.0))
