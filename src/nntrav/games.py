@@ -12,7 +12,9 @@ to superquadratic totals.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from itertools import compress
+from operator import ne
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bit_levels, neighbors_of, normalize_edge
 from .layered_ring import DfsTrap
@@ -173,15 +175,37 @@ def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
     return on_step
 
 
+def _bits(nodes: int) -> Iterator[int]:
+    """The ids in bitset ``nodes``, lowest first."""
+    while nodes:
+        low = nodes & -nodes
+        yield low.bit_length() - 1
+        nodes ^= low
+
+
 class NnAgent(AgentStrategy):
     """One hop per step along a currently-shortest path to a nearest unvisited node.
 
-    Both the target and the hop break ties by lowest id; everything is
-    recomputed from the current graph every step, so deletions reroute it.
-    One bitset BFS from the walker stops at the first level holding an
-    unvisited node; the target is the lowest such id.  Walking back from it
-    through the BFS levels keeps, at each distance, the nodes on a shortest
-    path to the target; at distance 1 the lowest id is the hop.
+    Both the target and the hop break ties by lowest id, on the current
+    graph, so deletions reroute it.  A search is one bitset BFS from the
+    walker that stops at the first level holding an unvisited node; the
+    target is the lowest such id.  Walking back from it through the BFS
+    levels keeps, at each distance i, the band of nodes on a shortest path
+    to the target; at distance 1 the lowest id is the hop.
+
+    The walker searches again only when neither cache below holds:
+
+    - *Bands.*  While no edge is cut and the walker stands on the hop it
+      returned last, the target stays the lowest-id nearest unvisited node
+      (a lower id one hop nearer would have tied before), and the next hop
+      is the lowest neighbour in the next band.
+    - *The last unvisited node.*  Once it is the only one left and the
+      graph has lost an edge since ``reset``, its BFS levels are built
+      once and repaired in place after each cut (Even & Shiloach, J. ACM
+      1981): an endpoint of a cut with no neighbour one level nearer rises
+      one level, and so may the nodes one level further out that it leaves.
+      A node pushed past n − 1 has no path left.  The hop is the lowest
+      neighbour one level nearer than the walker.
     """
 
     name = "nn"
@@ -189,22 +213,108 @@ class NnAgent(AgentStrategy):
 
     def reset(self, graph: Graph, start: int) -> None:
         self.unvisited = ((1 << graph.n) - 1) ^ (1 << start)
+        self.bands: list[int] = []  # the next hop's band last, the target's first
+        self.hop = -1  # the hop the bands are for
+        self.graph = self.edge_count = None  # what the bands were found on
+        self.start_edges = graph.edge_count
+        self.last_graph = None  # what the last unvisited node's levels are on
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
-        self.unvisited &= ~(1 << pos)
+        unvisited = self.unvisited = self.unvisited & ~(1 << pos)
+        if not unvisited:
+            return None
+        bands = self.bands
+        if bands:
+            if pos == self.hop and graph is self.graph and graph.edge_count == self.edge_count:
+                near = graph.masks[pos] & bands.pop()
+                self.hop = (near & -near).bit_length() - 1
+                return self.hop
+            bands.clear()
+        if not unvisited & (unvisited - 1) and (
+                graph is self.last_graph or graph.edge_count != self.start_edges):
+            return self._toward_last(graph, pos)
         levels = []
         for level in bit_levels(graph, pos):
-            hits = level & self.unvisited
+            hits = level & unvisited
             if hits:
                 break
             levels.append(level)
         else:
             return None
-        masks = graph.masks
         back = hits & -hits
-        for level in reversed(levels[1:]):
-            back = neighbors_of(masks, back) & level
-        return (back & -back).bit_length() - 1
+        if len(levels) > 1:  # a walk of several hops: keep its bands
+            masks = graph.masks
+            for level in reversed(levels[1:]):
+                bands.append(back)
+                back = neighbors_of(masks, back) & level
+            self.graph, self.edge_count = graph, graph.edge_count
+        self.hop = (back & -back).bit_length() - 1
+        return self.hop
+
+    def _toward_last(self, graph: Graph, pos: int) -> int | None:
+        """The hop toward the one unvisited node, on its repaired BFS levels."""
+        n, masks = graph.n, graph.masks
+        if graph is not self.last_graph:
+            self.levels = [*bit_levels(graph, self.unvisited.bit_length() - 1)]
+            self.dist = [n] * n  # n: no path to the target
+            for d, level in enumerate(self.levels):
+                for v in _bits(level):
+                    self.dist[v] = d
+            self.last_graph, self.seen, self.seen_edges = graph, masks[:], graph.edge_count
+        elif graph.edge_count != self.seen_edges:
+            seen = self.seen
+            ends = [*compress(range(n), map(ne, seen, masks))]
+            for v in ends:
+                seen[v] = masks[v]
+            self.seen_edges = graph.edge_count
+            self._repair(masks, self.levels, self.dist, ends)
+        d = self.dist[pos]
+        if d == n:
+            return None
+        near = masks[pos] & self.levels[d - 1]
+        return (near & -near).bit_length() - 1
+
+    @staticmethod
+    def _repair(masks: list[int], levels: list[int], dist: list[int], ends: list[int]) -> None:
+        """Raise the labels the cuts at ``ends`` made too low, level by level.
+
+        A node keeps its level d while it has a neighbour at d − 1; the
+        candidates at d are the cut endpoints there, the nodes that rose
+        from d − 1, and the neighbours at d of those.  No simple path has
+        more than n − 1 hops, so a node that would rise past n − 1 is cut
+        off from the target.
+        """
+        n = len(dist)
+        todo: dict[int, int] = {}
+        for v in ends:
+            if 0 < dist[v] < n:
+                todo[dist[v]] = todo.get(dist[v], 0) | 1 << v
+        while todo:
+            d = min(todo)
+            cand = todo.pop(d)
+            below = levels[d - 1]
+            if below:  # one node of the level below holds most candidates in dense graphs
+                cand &= ~masks[below.bit_length() - 1]
+            if not cand:
+                continue
+            if cand.bit_count() <= below.bit_count():
+                held = sum(1 << v for v in _bits(cand) if masks[v] & below)
+            else:
+                held = neighbors_of(masks, below)
+            rise = cand & ~held
+            if not rise:
+                continue
+            levels[d] ^= rise
+            if d == n - 1:
+                for v in _bits(rise):
+                    dist[v] = n
+                continue
+            if d + 1 == len(levels):
+                levels.append(0)
+            todo[d + 1] = todo.get(d + 1, 0) | rise | (neighbors_of(masks, rise) & levels[d + 1])
+            levels[d + 1] |= rise
+            for v in _bits(rise):
+                dist[v] = d + 1
 
 
 class DfsRestartAgent(AgentStrategy):

@@ -221,12 +221,16 @@ def _hop_diameter(graph: Graph) -> int:
     True twins (nodes with the same closed neighbourhood) first merge into
     one node: two nodes in different classes are as far apart as their
     classes, and two distinct twins are at distance 1 (the twin step of
-    Coudert, Ducoffe & Popa, SODA 2018).  On the quotient, one bit-parallel
-    BFS from all sources at once (the packing of Akiba, Iwata & Yoshida,
-    SIGMOD 2013): ``reach[v]`` is the bitset of sources within the current
-    radius of ``v``, and each round ORs in the neighbors' sets.  The round in
-    which every set fills up is the diameter; a round that changes nothing
-    before then means the graph is disconnected.
+    Coudert, Ducoffe & Popa, SODA 2018).  A quotient whose classes all have
+    two neighbours is a union of cycles, so one walk from class 0 settles
+    it: a single cycle of N classes has diameter N // 2, and a walk that
+    comes back short means the graph is disconnected.  Any other quotient
+    gets one bit-parallel BFS from all sources at once (the packing of
+    Akiba, Iwata & Yoshida, SIGMOD 2013): ``reach[v]`` is the bitset of
+    sources within the current radius of ``v``, and each round ORs in the
+    neighbors' sets.  The round in which every set fills up is the
+    diameter; a round that changes nothing before then means the graph is
+    disconnected.
     """
     ids: dict[frozenset[int], int] = {}
     cls = [ids.setdefault(frozenset(nbrs).union((v,)), len(ids))
@@ -235,6 +239,14 @@ def _hop_diameter(graph: Graph) -> int:
     if n == 1:  # a complete graph
         return min(graph.n - 1, 1)
     adj = [{cls[u] for u in closed} - {c} for c, closed in enumerate(ids)]
+    if {2}.issuperset(map(len, adj)):  # a union of cycles: walk the one through class 0
+        prev, cur, length = 0, next(iter(adj[0])), 1
+        while cur:
+            a, b = adj[cur]
+            prev, cur, length = cur, b if a == prev else a, length + 1
+        if length < n:
+            raise UnreachableError("graph is disconnected; hop metric is partial")
+        return n // 2
     full = (1 << n) - 1
     reach = [1 << v for v in range(n)]
     radius = 0

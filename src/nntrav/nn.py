@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -17,6 +16,7 @@ from .graph import (
 )
 
 OPT_ORACLE_LIMIT = 13
+STEP_COST_LIMIT = 2**20  # the largest step cost lambda_profile reports
 
 
 # --- tie-breaking ------------------------------------------------------------
@@ -87,10 +87,13 @@ def nn_traversal(c: CostFunction, start: int, tie_break: Callable[[list[int]], i
 def lambda_profile(steps: Sequence[int]) -> dict[int, int]:
     """``{j: steps of cost >= j}`` for each level j >= 1, ascending, given a
     traversal's step costs (as :func:`nn_traversal` returns them).  Summing
-    the counts integrates the step costs, so the sum is the traversal cost."""
+    the counts integrates the step costs, so the sum is the traversal cost.
+    A step cost above ``STEP_COST_LIMIT`` (2**20) is refused before anything
+    is allocated: the report would hold one key per level."""
     top = max(steps, default=0)
-    if top >= sys.maxsize:  # the histogram below needs top + 1 list slots
-        raise GraphError(f"step cost {top} is too large for a step-cost profile")
+    if top > STEP_COST_LIMIT:
+        raise GraphError(
+            f"step cost {top} is above the step-cost profile's limit of {STEP_COST_LIMIT}")
     hist = [0] * (top + 1)  # hist[s]: steps of cost exactly s
     for s in steps:
         hist[s] += 1

@@ -155,6 +155,17 @@ def test_traverse_scans_for_a_triangle_violation_once(tmp_path, capsys, monkeypa
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("cost", [10**12, 2**20 + 1])
+def test_traverse_refuses_a_step_cost_past_the_profile_limit(tmp_path, capsys, cost):
+    """The λ report holds one key per level, so a step cost above 2**20 is a
+    validation error, not a MemoryError traceback."""
+    inst = tmp_path / "pair.json"
+    inst.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "weights": [[0, 1, cost]]}))
+    rc, out, err = run(capsys, "traverse", "--input", str(inst))
+    assert (rc, out) == (EXIT_VALIDATION, "")
+    assert f"step cost {cost} is above the step-cost profile's limit of 1048576" in err
+
+
 def test_traverse_scripted_accepts_sidecar_files(tmp_path, capsys):
     inst = tmp_path / "lr.json"
     run(capsys, "generate", "lr-pow2", "--m", "3", "--k", "1", "--output", str(inst))

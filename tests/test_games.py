@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nntrav import cli, games
 from nntrav.games import (
     AgentStrategy,
     CliqueAdversary,
@@ -299,3 +300,33 @@ def test_trace_json_lines():
     assert summary["steps"] == trace.step_count
     body = [json.loads(ln) for ln in lines[1:-1]]
     assert all({"step", "from", "to", "deleted", "events"} <= set(s) for s in body)
+
+
+def test_nn_agent_searches_once_per_target(tmp_path, monkeypatch, capsys):
+    """Counts the nn walker's BFS runs: the clique duel searches for each of
+    its first n − 2 targets and builds the last node's levels once, and a
+    duel with no cuts searches once for each node it goes to visit."""
+    sources = []
+
+    def counted(graph, source):
+        sources.append(source)
+        return real(graph, source)
+
+    real = games.bit_levels
+    monkeypatch.setattr(games, "bit_levels", counted)
+    n = 32
+    assert cli.main(["duel", "nn", "clique", "--n", str(n),
+                     "--output", str(tmp_path / "clique.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == binom2(n)
+    assert 0 < len(sources) <= n + 1
+
+    sources.clear()
+    ring = tmp_path / "ring.json"
+    assert cli.main(["generate", "lr-pow2", "--m", "5", "--k", "2", "--output", str(ring)]) == 0
+    capsys.readouterr()
+    assert cli.main(["duel", "nn", "none", "--input", str(ring),
+                     "--output", str(tmp_path / "ring.jsonl")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    targets = summary["visited"] - 1  # with no cuts every target is reached
+    assert summary["steps"] > targets > 0
+    assert 0 < len(sources) <= targets

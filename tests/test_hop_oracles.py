@@ -10,13 +10,22 @@ label for the walker's rounds.
 """
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nntrav import simulator
-from nntrav.games import AgentStrategy, DfsRestartAgent, NnAgent, ScheduleAdversary
+from nntrav.games import (
+    AgentStrategy,
+    CliqueAdversary,
+    DfsRestartAgent,
+    NnAgent,
+    NullAdversary,
+    ScheduleAdversary,
+)
 from nntrav.graph import (
     CostFunction,
     Graph,
@@ -30,7 +39,7 @@ from nntrav.graph import (
     path_graph,
 )
 from nntrav.layered_ring import build_lr
-from nntrav.simulator import SimStep, SimTrace, _repair, check_r1_r2, sim_step
+from nntrav.simulator import FailureSchedule, SimStep, SimTrace, _repair, check_r1_r2, sim_step
 
 from helpers import (
     first_violation,
@@ -248,15 +257,35 @@ def test_twin_quotient_diameter_matches_all_pairs_rows(k, seed, keep):
     assert outcome(cost.pair_cost_extremes) == outcome(extremes_oracle, cost)
 
 
+def cycle_of_cliques(sizes):
+    """Cliques of the given sizes around a cycle, each joined to the next."""
+    ids, at = [], 0
+    for size in sizes:
+        ids.append(range(at, at + size))
+        at += size
+    edges = {normalize_edge(u, v) for i, part in enumerate(ids)
+             for nxt in (part, ids[(i + 1) % len(ids)]) for u in part for v in nxt if u != v}
+    return Graph(at, sorted(edges))
+
+
+def disjoint(a, b):
+    """The union of two graphs, ``b``'s ids after ``a``'s."""
+    return Graph(a.n + b.n, a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()])
+
+
 @pytest.mark.parametrize("graph", [
     *(complete_graph(n) for n in range(2, 7)),
     *(path_graph(n) for n in range(2, 7)),
     *(build_lr(nu, k).graph for nu, k in ((4, 1), (8, 2), (12, 2), (16, 3))),
     Graph(2),
     Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),  # two 3-cliques
+    *(cycle_of_cliques(sizes) for sizes in ([1] * 5, [1] * 7, [1] * 8, [2, 1, 3, 1])),
+    disjoint(cycle_of_cliques([1] * 4), cycle_of_cliques([1] * 5)),
+    disjoint(cycle_of_cliques([1] * 5), cycle_of_cliques([2, 1, 1, 1])),
 ], ids=repr)
 def test_twin_quotient_diameter_on_cliques_paths_and_rings(graph):
-    """A clique is one class: diameter 1.  Two cliques apart stay apart."""
+    """A clique is one class: diameter 1.  Two cliques apart stay apart.  A
+    quotient of classes with two neighbours each is one cycle or several."""
     cost = CostFunction.hop_metric(graph)
     assert outcome(cost.pair_cost_extremes) == outcome(extremes_oracle, cost)
 
@@ -276,11 +305,78 @@ def test_nn_hop_matches_the_full_bfs_rule(n, seed, keep):
         assert agent.decide(g, visited, pos) == nn_decide_oracle(g, visited, pos)
 
 
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def band_cut_schedules(rng, g, start):
+    """One cut while the nn walker is partway to a target it has found:
+    on the edge it takes next, on an edge later in its walk, and off the
+    walk.  The walk is read from the oracle's game without cuts."""
+    _, steps = play_recorded(NnOracleAgent(), NullAdversary(), g, start)
+    seen, walks = {start}, []
+    for i, s in enumerate(steps):
+        if s.to in seen and i + 1 < len(steps):  # a hop through visited nodes
+            ahead = []
+            for t in steps[i + 1:]:
+                ahead.append(normalize_edge(t.frm, t.to))
+                if t.to not in seen:
+                    break
+            walks.append((s.step, ahead))
+        seen.add(s.to)
+    if not walks:
+        return []
+    step, ahead = rng.choice(walks)
+    off = [e for e in g.edges() if e not in ahead]
+    cuts = [ahead[0], rng.choice(ahead)] + ([rng.choice(off)] if off else [])
+    return [FailureSchedule({step: (e,)}) for e in cuts]
+
+
+def last_node_schedules(rng, g, start):
+    """Cuts from the step that leaves one node unvisited on: random edges at
+    random steps, and the same with every edge of that last node cut too."""
+    _, steps = play_recorded(NnOracleAgent(), NullAdversary(), g, start)
+    seen = {start}
+    for s in [None, *steps]:
+        if s is not None:
+            seen.add(s.to)
+        if len(seen) == g.n - 1:
+            break
+    else:
+        return []
+    first = 0 if s is None else s.step
+    (last,) = set(range(g.n)) - seen
+    pool = g.edges()
+    rng.shuffle(pool)
+    some = pool[:rng.randint(1, len(pool))]
+    isolating = [e for e in pool if last in e]
+    schedules = []
+    for cut in (some, [e for e in some if last not in e] + isolating):
+        plan: dict[int, list] = {}
+        for e in cut:
+            plan.setdefault(first + rng.randint(0, 2 * g.n), []).append(e)
+        schedules.append(FailureSchedule({k: tuple(v) for k, v in plan.items()}))
+    return schedules
+
+
 @given(st.integers(1, 14), SEEDS)
 @settings(max_examples=80, deadline=None)
 def test_bitset_agents_play_the_set_based_games(n, seed):
     """Whole games under random schedules, pre-run cuts included: each bitset
-    agent emits the step stream of its set-based oracle."""
+    agent emits the step stream of its set-based oracle.  The nn agent also
+    plays schedules that cut while it walks toward a target it has found,
+    and after only one node is left, that node cut off included."""
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
     start = rng.randrange(n)
@@ -289,6 +385,40 @@ def test_bitset_agents_play_the_set_based_games(n, seed):
         got = play_recorded(fast(), ScheduleAdversary(schedule), g, start)
         want = play_recorded(oracle(), ScheduleAdversary(schedule), g, start)
         assert got == want
+    for schedule in band_cut_schedules(rng, g, start) + last_node_schedules(rng, g, start):
+        with time_limit(5):
+            got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, start)
+        assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, start)
+
+
+@pytest.mark.parametrize("n", range(4, 25))
+def test_nn_agent_plays_the_clique_games(n):
+    """After its first n − 1 visits the clique adversary cuts on most steps,
+    while one node is left to reach."""
+    for start in sorted({0, n // 2, n - 1}):
+        with time_limit(5):
+            got = play_recorded(NnAgent(), CliqueAdversary(), complete_graph(n), start)
+        assert got == play_recorded(NnOracleAgent(), CliqueAdversary(), complete_graph(n), start)
+
+
+@pytest.mark.parametrize("step, cut, halt", [
+    (4, (0, 4), 2),  # the last node loses its only edge mid-walk
+    (4, (1, 2), 2),  # the walker loses its way back
+    (5, (0, 1), 1),
+])
+def test_nn_agent_halts_once_the_last_node_is_cut_off(step, cut, halt):
+    """Node 4 hangs off node 0 of the path 0-1-2-3, whose chord 1-3 is cut
+    once 3 is visited: from 3 the walker heads back toward 4 on that node's
+    levels, and a later cut leaves 4 out of reach."""
+    g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (0, 4)])
+    schedule = FailureSchedule({3: ((1, 3),), step: (cut,)})
+    with time_limit(5):
+        got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, 0)
+    assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, 0)
+    trace, steps = got
+    assert [s.to for s in steps[:3]] == [1, 2, 3]
+    assert (trace.outcome, trace.step_count, steps[-1].to) == ("halted", step, halt)
+    assert trace.visited == {0, 1, 2, 3}
 
 
 def tampered(steps, n, rng):

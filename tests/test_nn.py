@@ -20,6 +20,7 @@ from nntrav.graph import (
     random_metric_cost,
     validate_traversal,
 )
+from nntrav import nn
 from nntrav.nn import (
     OPT_ORACLE_LIMIT,
     _nearest_unvisited,
@@ -105,6 +106,13 @@ def test_lambda_profile_rejects_a_cost_past_the_index_range():
     # a histogram of sys.maxsize + 1 slots cannot be built; the error names the cost
     with pytest.raises(GraphError, match=f"step cost {sys.maxsize} "):
         lambda_profile([sys.maxsize])
+
+
+def test_lambda_profile_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(nn, "STEP_COST_LIMIT", 8)
+    assert lambda_profile([8, 1]) == {j: 1 + (j == 1) for j in range(1, 9)}
+    with pytest.raises(GraphError, match="step cost 9 is above the step-cost profile's limit of 8"):
+        lambda_profile([1, 9])
 
 
 def test_lambda_profile_single_step():
