@@ -12,8 +12,6 @@ to superquadratic totals.
 from __future__ import annotations
 
 import math
-from itertools import compress
-from operator import ne
 from typing import Callable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bit_levels, neighbors_of, normalize_edge
@@ -26,6 +24,11 @@ class GameError(GraphError):
 
 
 class AgentStrategy:
+    """A walker for ``play_game``.  ``reset`` gets the game graph as the first
+    move finds it, the pre-run deletions made; every ``decide`` is handed
+    that same graph, and ``cut`` is told each later step's deletions, so an
+    agent may keep views of it that follow them, such as its neighbor bitsets."""
+
     name = "agent"
 
     def reset(self, graph: Graph, start: int) -> None:
@@ -34,6 +37,9 @@ class AgentStrategy:
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
         """Next neighbor to move to, or None to halt."""
         raise NotImplementedError
+
+    def cut(self, edges: list[Edge]) -> None:
+        """The edges, normalized, deleted after the last move; never empty."""
 
 
 class Adversary:
@@ -113,15 +119,15 @@ def play_game(
     if budget < 0:
         raise GraphError(f"step budget must be >= 0, got {budget}")
     work = graph.copy()
-    agent.reset(work, start)
     pre = tuple(normalize_edge(u, v) for u, v in adv.reset(work, start))
     for u, v in pre:
         work.delete_edge(u, v)
+    agent.reset(work, start)
     if pre and on_step is not None:
         on_step(0, None, None, pre, ())
     adj = work.adjacency
     visited = {start}
-    decide, react, events = agent.decide, adv.react, adv.events
+    decide, cut, react, events = agent.decide, agent.cut, adv.react, adv.events
     pos = start
     step = 0
     outcome = "budget-exhausted"
@@ -146,6 +152,7 @@ def play_game(
             for u, v in edges:
                 cuts.append(normalize_edge(u, v))
                 work.delete_edge(u, v)  # raises if the edge does not exist
+            cut(cuts)
         if on_step is not None:
             on_step(step, frm, pos, cuts, events[seen:] if len(events) > seen else ())
     return GameTrace(graph.n, agent.name, adv.name, pre, step, outcome, visited, events)
@@ -195,29 +202,33 @@ class NnAgent(AgentStrategy):
 
     The walker searches again only when neither cache below holds:
 
-    - *Bands.*  While no edge is cut and the walker stands on the hop it
+    - *Bands.*  Until an edge is cut, while the walker stands on the hop it
       returned last, the target stays the lowest-id nearest unvisited node
       (a lower id one hop nearer would have tied before), and the next hop
       is the lowest neighbour in the next band.
-    - *The last unvisited node.*  Once it is the only one left and the
-      graph has lost an edge since ``reset``, its BFS levels are built
-      once and repaired in place after each cut (Even & Shiloach, J. ACM
-      1981): an endpoint of a cut with no neighbour one level nearer rises
-      one level, and so may the nodes one level further out that it leaves.
-      A node pushed past n − 1 has no path left.  The hop is the lowest
-      neighbour one level nearer than the walker.
+    - *The last unvisited node.*  Once it is the only one left, its BFS
+      levels are built once and repaired in place after each cut (Even &
+      Shiloach, J. ACM 1981): an endpoint of a cut with no neighbour one
+      level nearer rises one level, and so may the nodes one level further
+      out that it leaves.  A node pushed past n − 1 has no path left.  The
+      hop is the lowest neighbour one level nearer than the walker, the
+      hop the bands would give.
     """
 
     name = "nn"
     unvisited = 0  # bitset, set by reset
 
     def reset(self, graph: Graph, start: int) -> None:
+        self.masks = graph.masks
         self.unvisited = ((1 << graph.n) - 1) ^ (1 << start)
         self.bands: list[int] = []  # the next hop's band last, the target's first
         self.hop = -1  # the hop the bands are for
-        self.graph = self.edge_count = None  # what the bands were found on
-        self.start_edges = graph.edge_count
-        self.last_graph = None  # what the last unvisited node's levels are on
+        self.levels: list[int] | None = None  # the last unvisited node's, once built
+
+    def cut(self, edges: list[Edge]) -> None:
+        self.bands.clear()
+        if self.levels is not None:
+            self._repair(self.masks, self.levels, self.dist, [v for e in edges for v in e])
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
         unvisited = self.unvisited = self.unvisited & ~(1 << pos)
@@ -225,13 +236,12 @@ class NnAgent(AgentStrategy):
             return None
         bands = self.bands
         if bands:
-            if pos == self.hop and graph is self.graph and graph.edge_count == self.edge_count:
-                near = graph.masks[pos] & bands.pop()
+            if pos == self.hop:
+                near = self.masks[pos] & bands.pop()
                 self.hop = (near & -near).bit_length() - 1
                 return self.hop
             bands.clear()
-        if not unvisited & (unvisited - 1) and (
-                graph is self.last_graph or graph.edge_count != self.start_edges):
+        if not unvisited & (unvisited - 1):
             return self._toward_last(graph, pos)
         levels = []
         for level in bit_levels(graph, pos):
@@ -243,35 +253,26 @@ class NnAgent(AgentStrategy):
             return None
         back = hits & -hits
         if len(levels) > 1:  # a walk of several hops: keep its bands
-            masks = graph.masks
+            masks = self.masks
             for level in reversed(levels[1:]):
                 bands.append(back)
                 back = neighbors_of(masks, back) & level
-            self.graph, self.edge_count = graph, graph.edge_count
         self.hop = (back & -back).bit_length() - 1
         return self.hop
 
     def _toward_last(self, graph: Graph, pos: int) -> int | None:
         """The hop toward the one unvisited node, on its repaired BFS levels."""
-        n, masks = graph.n, graph.masks
-        if graph is not self.last_graph:
+        n = graph.n
+        if self.levels is None:
             self.levels = [*bit_levels(graph, self.unvisited.bit_length() - 1)]
             self.dist = [n] * n  # n: no path to the target
             for d, level in enumerate(self.levels):
                 for v in _bits(level):
                     self.dist[v] = d
-            self.last_graph, self.seen, self.seen_edges = graph, masks[:], graph.edge_count
-        elif graph.edge_count != self.seen_edges:
-            seen = self.seen
-            ends = [*compress(range(n), map(ne, seen, masks))]
-            for v in ends:
-                seen[v] = masks[v]
-            self.seen_edges = graph.edge_count
-            self._repair(masks, self.levels, self.dist, ends)
         d = self.dist[pos]
         if d == n:
             return None
-        near = masks[pos] & self.levels[d - 1]
+        near = self.masks[pos] & self.levels[d - 1]
         return (near & -near).bit_length() - 1
 
     @staticmethod
@@ -324,10 +325,6 @@ class DfsRestartAgent(AgentStrategy):
     search; backtracking retraces the walker's own stack.  If the stack edge
     has been deleted, the walker begins a completely new search rooted where
     it stands.  It halts when a search finishes back at its root.
-
-    ``reset`` keeps the graph's neighbor bitsets, which follow its deletions,
-    so ``decide`` must be handed the graph the walker was reset with, as
-    ``play_game`` does.
     """
 
     name = "dfs-restart"

@@ -191,6 +191,43 @@ def test_adversary_sees_each_move_as_on_step_reports_it():
     assert [ev for s in steps for ev in s.events] == trace.events
 
 
+class CutRecordingAgent(NnAgent):
+    """The nn walker, noting the graph it is reset on and the step of each
+    ``cut`` call with its edges."""
+
+    def reset(self, graph, start):
+        self.start_adjacency = [set(nbrs) for nbrs in graph.adjacency]
+        self.moves, self.cuts = 0, []
+        super().reset(graph, start)
+
+    def decide(self, graph, visited, pos):
+        self.moves += 1
+        return super().decide(graph, visited, pos)
+
+    def cut(self, edges):
+        self.cuts.append((self.moves, tuple(edges)))
+        super().cut(edges)
+
+
+@pytest.mark.parametrize("adv, graph", [
+    (ScheduleAdversary(FailureSchedule(
+        {0: ((3, 0),), 2: ((2, 1), (4, 5)), 3: ((1, 4),), 5: ((5, 0),)})),
+     Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)])),
+    (CliqueAdversary(), complete_graph(6)),
+], ids=["schedule", "clique"])
+def test_agent_is_reset_on_the_pre_run_graph_and_told_each_steps_cuts(adv, graph):
+    agent = CutRecordingAgent()
+    trace, steps = play_recorded(agent, adv, graph, 0)
+    assert trace.outcome == "halted"
+    expected = graph.copy()
+    for u, v in trace.pre_deleted:
+        expected.delete_edge(u, v)
+    assert agent.start_adjacency == expected.adjacency
+    told = [(s.step, s.deleted) for s in steps if s.step and s.deleted]
+    assert len(told) >= 3  # the game cuts on several steps
+    assert agent.cuts == told
+
+
 def test_schedule_adversary_cuts_and_reroutes():
     # cutting (1,2) after the first step forces the nn walker back around
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -303,9 +340,10 @@ def test_trace_json_lines():
 
 
 def test_nn_agent_searches_once_per_target(tmp_path, monkeypatch, capsys):
-    """Counts the nn walker's BFS runs: the clique duel searches for each of
-    its first n − 2 targets and builds the last node's levels once, and a
-    duel with no cuts searches once for each node it goes to visit."""
+    """Counts the nn walker's BFS runs: each duel searches for each target
+    but the last and builds the last node's levels once, so the clique duel
+    runs at most n + 1 and a duel with no cuts one for each node it goes to
+    visit."""
     sources = []
 
     def counted(graph, source):

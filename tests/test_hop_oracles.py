@@ -391,6 +391,17 @@ def test_bitset_agents_play_the_set_based_games(n, seed):
         assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, start)
 
 
+def test_nn_agent_drops_its_bands_when_its_next_hop_is_cut():
+    """The path 0-1-2-3-4-5 with the detour 1-6-7-5, from node 3: back on 1,
+    halfway from 0 to its target 6, the walker loses the edge 1-6 it would
+    take next and goes round by 2, 3, 4, 5 and 7 instead."""
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 7), (5, 7)])
+    schedule = FailureSchedule({4: ((1, 6),)})
+    got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, 3)
+    assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, 3)
+    assert [s.to for s in got[1]] == [2, 1, 0, 1, 2, 3, 4, 5, 7, 6]
+
+
 @pytest.mark.parametrize("n", range(4, 25))
 def test_nn_agent_plays_the_clique_games(n):
     """After its first n − 1 visits the clique adversary cuts on most steps,
