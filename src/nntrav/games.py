@@ -14,8 +14,16 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .graph import Edge, Graph, GraphError, bit_levels, neighbors_of, normalize_edge
-from .layered_ring import DfsTrap
+from .graph import (
+    Edge,
+    Graph,
+    GraphError,
+    bit_levels,
+    complete_graph,
+    neighbors_of,
+    normalize_edge,
+)
+from .layered_ring import DfsTrap, build_dfs_killer
 from .simulator import FailureSchedule, encode_line
 
 
@@ -500,6 +508,40 @@ class KillerAdversary(Adversary):
                 self._last_cut_attempt = self.shadow.attempt
                 return [e]
         return ()
+
+
+def make_agent(name: str) -> AgentStrategy:
+    """A fresh agent by its command-line name."""
+    if name == "nn":
+        return NnAgent()
+    if name == "dfs-restart":
+        return DfsRestartAgent()
+    raise GraphError(f"unknown agent {name!r} (expected nn or dfs-restart)")
+
+
+def arena(spec: str, n: int, graph: Graph | None = None) -> tuple[Graph, Adversary]:
+    """Graph and adversary for a duel against none, clique or killer: on
+    ``graph`` when one is given, else on the arena's own graph of ``n`` nodes."""
+    if spec != "killer":
+        adv = NullAdversary() if spec == "none" else CliqueAdversary()
+        return (complete_graph(n) if graph is None else graph), adv
+    trap = build_dfs_killer(n)  # n is the dfs-killer family's only parameter
+    if graph is not None and trap.graph != graph:
+        raise GraphError("input graph does not match its dfs-killer parameters")
+    return trap.graph, KillerAdversary(trap)
+
+
+def duel_floor(spec: str, n: int) -> int | None:
+    """Steps the arena forces on any agent: every clique edge once (clique), a
+    spanning tree walked both ways (killer), or one step per new node (none);
+    None for any other adversary."""
+    if spec == "clique":
+        return n * (n - 1) // 2
+    if spec == "killer":
+        return 2 * (n - 1)
+    if spec == "none":
+        return n - 1
+    return None
 
 
 def killer_script(trap: DfsTrap, max_steps: int | None = None) -> FailureSchedule:

@@ -111,6 +111,13 @@ def build_lr(nu: int, k: int) -> LayeredRing:
     return LayeredRing(nu, k, _ring_graph(nu, positions), positions, layer_sets, layer_ids)
 
 
+def build_lr_pow2(m: int, k: int) -> LayeredRing:
+    """The layered ring of size 2**m with k layers."""
+    if m < 1:
+        raise GraphError(f"need m >= 1, got {m}")
+    return build_lr(1 << m, k)
+
+
 def vertex_count_formula(m: int, k: int) -> int:
     """Closed-form node count of the ring-size-2**m family with k layers."""
     if m < 1:

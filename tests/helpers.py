@@ -4,7 +4,11 @@ recorders that keep the step streams of games and simulations together with
 the per-step trace encoder those streams replaced."""
 
 import ast
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +26,37 @@ from nntrav.graph import (
 from nntrav.simulator import FailureSchedule, SimStep, SimTrace, encode_line, run_sim
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs ``nntrav <argv>`` as ``python -m nntrav.cli`` does, then prints the
+# source file of every nntrav module loaded, the core (run as __main__) too
+_OP_MODULES = """
+import json, runpy, sys
+from importlib.util import find_spec
+sys.argv = ["nntrav", *{argv!r}]
+try:
+    runpy.run_module("nntrav.cli", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+files = {{name: mod.__file__ for name, mod in sys.modules.items()
+         if name == "nntrav" or name.startswith("nntrav.")}}
+files["__main__"] = find_spec("nntrav.cli").origin
+print(json.dumps(files))
+"""
+
+
+def op_modules(argv: list[str], cwd: Path) -> dict[str, int]:
+    """The nntrav modules ``python -m nntrav.cli <argv>`` loads, each with the
+    line count of its source, in a fresh interpreter started with ``-S`` in
+    ``cwd``.  The core runs as ``__main__`` and is listed under that name; a
+    ``nntrav.cli`` entry would mean it was compiled a second time."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", _OP_MODULES.format(argv=argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    files = json.loads(proc.stdout.splitlines()[-1])
+    return {name: len(Path(path).read_text(encoding="utf-8").splitlines())
+            for name, path in sorted(files.items())}
 
 
 def traced_layers() -> dict[str, tuple[str, ...]]:

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import nntrav
-from nntrav.cli import main, split_seed
+from nntrav.cli import main
+from nntrav.cli_io import split_seed
 from nntrav.layered_ring import build_lr
 
 EXIT_VALIDATION = 2
@@ -276,6 +277,43 @@ def test_malformed_shapes_exit_2_without_traceback(tmp_path, cmd, doc):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+UNPARSEABLE = {
+    "not-utf8": b'\xff\xfe{"n": 2}',
+    "too-deep": b"[" * 200_000,
+    "long-int": b'{"n": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("reader", ["instance", "sidecar", "schedule", "duel-schedule",
+                                    "scripted-ties", "bench-suite"])
+@pytest.mark.parametrize("kind", sorted(UNPARSEABLE))
+def test_unparseable_json_exits_4_on_one_line(tmp_path, kind, reader):
+    """Bytes json cannot take (not UTF-8, nested past the recursion limit, an
+    int literal past the int-conversion limit) are invalid JSON in every
+    reader: exit 4, one stderr line, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNPARSEABLE[kind])
+    path3 = tmp_path / "p.json"
+    path3.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    if reader == "sidecar":
+        bad = tmp_path / "p.sidecar.json"
+        bad.write_bytes(UNPARSEABLE[kind])
+    argv = {
+        "instance": ["traverse", "--input", str(bad)],
+        "sidecar": ["traverse", "--input", str(path3)],
+        "schedule": ["simulate", "--input", str(path3), "--schedule", str(bad)],
+        "duel-schedule": ["duel", "nn", f"schedule:{bad}", "--input", str(path3)],
+        "scripted-ties": ["traverse", "--input", str(path3), "--ties", f"scripted:{bad}"],
+        "bench-suite": ["bench", "--suite", str(bad)],
+    }[reader]
+    env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nntrav.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr.startswith("i/o error: invalid JSON: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 def test_simulate_static_path(tmp_path, capsys):
     inst = tmp_path / "p.json"
     run(capsys, "generate", "path", "--n", "6", "--output", str(inst))
@@ -333,7 +371,7 @@ def test_simulate_rejects_matrix_instances(tmp_path, capsys):
 
 
 def test_simulate_checks_run_only_for_the_summary(tmp_path, capsys, monkeypatch):
-    import nntrav.simulator as simulator  # cmd_simulate imports the checks when it runs
+    import nntrav.cmd_simulate as cmd_simulate
 
     calls = []
     def checker(name):
@@ -342,8 +380,8 @@ def test_simulate_checks_run_only_for_the_summary(tmp_path, capsys, monkeypatch)
             return lambda step: None
         return make
 
-    monkeypatch.setattr(simulator, "check_r1_r2", checker("r1_r2"))
-    monkeypatch.setattr(simulator, "check_progress", checker("progress"))
+    monkeypatch.setattr(cmd_simulate, "check_r1_r2", checker("r1_r2"))
+    monkeypatch.setattr(cmd_simulate, "check_progress", checker("progress"))
     inst = tmp_path / "p.json"
     run(capsys, "generate", "path", "--n", "5", "--output", str(inst))
     rc, out, _ = run(capsys, "simulate", "--input", str(inst))

@@ -6,6 +6,10 @@ op, so ``generate random-metric``, ``traverse`` and ``tree`` must leave
 unloaded.  The hop ops (``simulate``, ``duel``, ``bench`` and the ring and
 trap ``generate`` families) load the layers they run, but their records are
 plain classes, so they too leave ``dataclasses`` and ``inspect`` unloaded.
+Each subcommand's handler is its own ``nntrav.cmd_<name>`` module, and an
+op loads that one and no other.  Under ``python -m nntrav.cli`` the core
+runs as ``__main__``, so no op may import ``nntrav.cli`` by name: that would
+compile the core a second time.
 The traced benchmark run imports only ``nntrav.cli`` and ``nntrav.games`` and
 then wraps every layer of its LAYERS table, so that pair must still load all
 of them.
@@ -19,9 +23,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from helpers import traced_layers
+import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from helpers import SRC, op_modules, traced_layers
+
 UNUSED_BY_ANY_OP = ("dataclasses", "inspect")
 UNUSED_BY_METRIC_OPS = ("nntrav.games", "nntrav.simulator", "nntrav.layered_ring",
                         *UNUSED_BY_ANY_OP)
@@ -83,3 +88,42 @@ def test_cli_and_games_load_every_traced_layer(tmp_path):
     missing = [f"nntrav.{layer}" for layer in traced_layers()
                if f"nntrav.{layer}" not in loaded]
     assert not missing, f"the traced benchmark run would not find {missing}"
+
+
+# every subcommand, and each generate family and duel arena that loads more
+OPS = [
+    ["generate", "random-metric", "--n", "12", "--output", "m.json"],
+    ["generate", "path", "--n", "6", "--output", "p.json"],
+    ["generate", "lr-pow2", "--m", "3", "--k", "2", "--output", "l.json"],
+    ["generate", "dfs-killer", "--n", "12", "--output", "k.json"],
+    ["traverse", "--input", "m.json", "--output", "t.json"],
+    ["traverse", "--input", "l.json", "--ties", "scripted:l.sidecar.json", "--output", "t2.json"],
+    ["tree", "--input", "m.json", "--ranks", "shuffle", "--output", "r.json"],
+    ["simulate", "--input", "p.json", "--schedule", "s.json", "--output", "sim.jsonl"],
+    ["duel", "nn", "clique", "--n", "6", "--output", "d1.jsonl"],
+    ["duel", "dfs-restart", "killer", "--input", "k.json", "--output", "d2.jsonl"],
+    ["duel", "nn", "schedule:s.json", "--input", "p.json", "--output", "d3.jsonl"],
+    ["bench", "--suite", "b.json", "--output", "b.csv"],
+]
+
+
+@pytest.fixture(scope="module")
+def loaded_by_op(tmp_path_factory) -> dict[str, dict[str, int]]:
+    """``op_modules`` of every op in OPS, run in order in one directory."""
+    work = tmp_path_factory.mktemp("ops")
+    (work / "s.json").write_text('{"deletions": [{"iter": 1, "edges": [[1, 2]]}]}')
+    (work / "b.json").write_text(
+        '{"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, {"kind": "duel", "n": 6,'
+        ' "agent": "nn", "adversary": "clique"}, {"kind": "random-metric", "n": 5}]}')
+    return {" ".join(argv): op_modules(argv, work) for argv in OPS}
+
+
+def test_each_subcommand_loads_only_its_own_handler(loaded_by_op):
+    for op, loaded in loaded_by_op.items():
+        handlers = {name for name in loaded if name.startswith("nntrav.cmd_")}
+        assert handlers == {f"nntrav.cmd_{op.split()[0]}"}, op
+
+
+def test_the_core_is_compiled_once_per_op(loaded_by_op):
+    for op, loaded in loaded_by_op.items():
+        assert "__main__" in loaded and "nntrav.cli" not in loaded, op

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nntrav.cli as cli
+import nntrav.cli_io as cli_io
 
 # structure characters and escapes that a compact re-indent must not touch
 TEXT = st.text(alphabet=st.sampled_from('ab[],{}:" \\\n\té'), max_size=6)
@@ -33,7 +34,7 @@ JSON_VALUES = st.recursive(
 def _written(value) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._write_json(None, value)
+        cli_io._write_json(None, value)
     return out.getvalue()
 
 
@@ -47,7 +48,8 @@ def test_writer_matches_json_dump(value):
     assert _written(value) == _dumped(value)
 
 
-@pytest.mark.parametrize("length", [cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1, 3 * cli._BLOCK_ROWS])
+@pytest.mark.parametrize("length", [cli_io._BLOCK_ROWS, cli_io._BLOCK_ROWS + 1,
+                                    3 * cli_io._BLOCK_ROWS])
 def test_block_edges_match_json_dump(length):
     rows = [[i, -i, i * i][: 1 + i % 3] for i in range(length)]
     flat = [i * 7 - 100 for i in range(length)]

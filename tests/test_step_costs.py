@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nntrav.graph
-from nntrav import cli
+from nntrav import cli, cli_io
 from nntrav.games import NnAgent, NullAdversary
 from nntrav.graph import CostFunction, cost_of, random_metric_cost
 from nntrav.layered_ring import build_lr
@@ -96,7 +96,7 @@ def test_traverse_runs_no_bfs_to_re_measure_its_steps(tmp_path, monkeypatch, cap
     assert len(calls) == n - 1
 
     calls.clear()
-    cli._sidecar_path(str(ring)).unlink()
+    cli_io._sidecar_path(str(ring)).unlink()
     assert cli.main(["traverse", "--input", str(ring)]) == 0
     assert json.loads(capsys.readouterr().out)["opt_source"] is None
     assert calls == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nntrav import cli
+from nntrav import cli, cmd_tree
 from nntrav.graph import (
     CostFunction,
     Graph,
@@ -148,7 +148,7 @@ def test_bound_check_rejects_non_metric_costs(tmp_path, monkeypatch, capsys):
     assert c.triangle_violation() == (0, 2, 1)
     inst = tmp_path / "four.json"
     inst.write_text(json.dumps(instance_to_json_obj(complete_graph(4), c)))
-    monkeypatch.setattr(cli, "nnt_bound_check", None)  # calling it would raise
+    monkeypatch.setattr(cmd_tree, "nnt_bound_check", None)  # calling it would raise
     assert cli.main(["tree", "--input", str(inst)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["metric"] is False and rep["budget"] is None and rep["bound_ok"] is None
