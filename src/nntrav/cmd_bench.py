@@ -45,15 +45,12 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
         out.update(family="lr-pow2", n=lr.n, m=m, k=k,
                    value=value, bound=bound, ratio=f"{value}/{bound}")
     elif kind == "duel":
-        from .games import arena, duel_floor, make_agent, play_game
+        from .games import arena, make_agent, play_game
 
         agent = make_agent(row["agent"])
         n = row["n"]
         spec = row["adversary"]
-        bound = duel_floor(spec, n)
-        if bound is None:
-            raise GraphError(f"bench duel row has unknown adversary {spec!r}")
-        graph, adv = arena(spec, n)
+        graph, adv, bound = arena(spec, n)
         trace = play_game(agent, adv, graph, row.get("start", 0), row.get("budget"))
         out.update(family="duel", n=n, agent=row["agent"], adversary=spec,
                    value=trace.step_count, bound=bound,

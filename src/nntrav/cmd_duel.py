@@ -11,7 +11,6 @@ from .games import (
     ScheduleAdversary,
     arena,
     clique_stage_lengths,
-    duel_floor,
     make_agent,
     play_game,
     trace_writer,
@@ -20,9 +19,9 @@ from .graph import Graph, GraphError, instance_from_json_obj
 from .simulator import FailureSchedule
 
 
-def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary]:
-    """Graph and adversary for a duel: on the parsed instance JSON when one is
-    given (not None), else generated at size ``n``."""
+def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary, int | None]:
+    """Graph, adversary and step floor (None for a schedule) for a duel: on the
+    parsed instance JSON when one is given (not None), else generated at size ``n``."""
     graph = None
     if instance is not None:
         graph, cost = instance_from_json_obj(instance)
@@ -33,7 +32,7 @@ def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary
         if graph is None:
             raise GraphError("duel with a schedule adversary needs --input")
         schedule = FailureSchedule.from_json_obj(_read_json(spec.split(":", 1)[1]))
-        return graph, ScheduleAdversary(schedule)
+        return graph, ScheduleAdversary(schedule), None
     if spec not in ("none", "clique", "killer"):
         raise GraphError(
             f"unknown adversary {spec!r} (expected none, clique, killer, or schedule:FILE)")
@@ -47,7 +46,7 @@ def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary
 def run(args: argparse.Namespace) -> int:
     agent = make_agent(args.agent)
     instance = _read_json(args.input) if args.input else None
-    graph, adv = _arena(args.adversary, args.n, instance)
+    graph, adv, floor = _arena(args.adversary, args.n, instance)
     with _trace_output(args.output) as write:
         trace = play_game(agent, adv, graph, args.start, args.budget, trace_writer(write))
         summary = {
@@ -61,9 +60,8 @@ def run(args: argparse.Namespace) -> int:
             "bound_ok": None,
         }
         if isinstance(adv, CliqueAdversary):
-            bound = duel_floor("clique", graph.n)
-            summary["bound"] = bound
-            summary["bound_ok"] = trace.step_count >= bound
+            summary["bound"] = floor
+            summary["bound_ok"] = trace.step_count >= floor
             # a run that ends before phase 1 starts raised no event: one unfinished stage
             summary["stages"] = clique_stage_lengths(trace) if trace.events else [trace.step_count]
         for line in trace.to_json_lines():

@@ -12,7 +12,7 @@ to superquadratic totals.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import (
     Edge,
@@ -46,7 +46,7 @@ class AgentStrategy:
         """Next neighbor to move to, or None to halt."""
         raise NotImplementedError
 
-    def cut(self, edges: list[Edge]) -> None:
+    def cut(self, edges: tuple[Edge, ...]) -> None:
         """The edges, normalized, deleted after the last move; never empty."""
 
 
@@ -57,12 +57,13 @@ class Adversary:
 
     name = "adversary"
 
-    def reset(self, graph: Graph, start: int) -> list[Edge]:
+    def reset(self, graph: Graph, start: int) -> Sequence[Edge]:
         """Prepare for a run; returns edges to delete before the first move."""
         self.events: list[dict] = []
         return []
 
-    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int,
+              to: int) -> Sequence[Edge]:
         """Edges to delete after move ``step``, ``frm`` -> ``to``.  ``graph`` and
         ``visited`` (which holds ``to``) are the game's own: read, never change."""
         return []
@@ -127,9 +128,7 @@ def play_game(
     if budget < 0:
         raise GraphError(f"step budget must be >= 0, got {budget}")
     work = graph.copy()
-    pre = tuple(normalize_edge(u, v) for u, v in adv.reset(work, start))
-    for u, v in pre:
-        work.delete_edge(u, v)
+    pre = work.delete_edges(adv.reset(work, start))
     agent.reset(work, start)
     if pre and on_step is not None:
         on_step(0, None, None, pre, ())
@@ -156,10 +155,7 @@ def play_game(
         seen = len(events)
         cuts = react(work, visited, step, frm, pos)
         if cuts:
-            edges, cuts = cuts, []
-            for u, v in edges:
-                cuts.append(normalize_edge(u, v))
-                work.delete_edge(u, v)  # raises if the edge does not exist
+            cuts = work.delete_edges(cuts)  # raises if an edge does not exist
             cut(cuts)
         if on_step is not None:
             on_step(step, frm, pos, cuts, events[seen:] if len(events) > seen else ())
@@ -233,7 +229,7 @@ class NnAgent(AgentStrategy):
         self.hop = -1  # the hop the bands are for
         self.levels: list[int] | None = None  # the last unvisited node's, once built
 
-    def cut(self, edges: list[Edge]) -> None:
+    def cut(self, edges: tuple[Edge, ...]) -> None:
         self.bands.clear()
         if self.levels is not None:
             self._repair(self.masks, self.levels, self.dist, [v for e in edges for v in e])
@@ -382,12 +378,14 @@ class ScheduleAdversary(Adversary):
     def __init__(self, schedule: FailureSchedule) -> None:
         self.schedule = schedule
 
-    def reset(self, graph: Graph, start: int) -> list[Edge]:
+    def reset(self, graph: Graph, start: int) -> Sequence[Edge]:
         super().reset(graph, start)
-        return list(self.schedule.edges_at(0))
+        self.schedule.check(graph)
+        return self.schedule.edges_at(0)
 
-    def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
-        return list(self.schedule.edges_at(step))
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int,
+              to: int) -> Sequence[Edge]:
+        return self.schedule.edges_at(step)
 
 
 class CliqueAdversary(Adversary):
@@ -519,29 +517,23 @@ def make_agent(name: str) -> AgentStrategy:
     raise GraphError(f"unknown agent {name!r} (expected nn or dfs-restart)")
 
 
-def arena(spec: str, n: int, graph: Graph | None = None) -> tuple[Graph, Adversary]:
-    """Graph and adversary for a duel against none, clique or killer: on
-    ``graph`` when one is given, else on the arena's own graph of ``n`` nodes."""
-    if spec != "killer":
-        adv = NullAdversary() if spec == "none" else CliqueAdversary()
-        return (complete_graph(n) if graph is None else graph), adv
-    trap = build_dfs_killer(n)  # n is the dfs-killer family's only parameter
-    if graph is not None and trap.graph != graph:
-        raise GraphError("input graph does not match its dfs-killer parameters")
-    return trap.graph, KillerAdversary(trap)
-
-
-def duel_floor(spec: str, n: int) -> int | None:
-    """Steps the arena forces on any agent: every clique edge once (clique), a
-    spanning tree walked both ways (killer), or one step per new node (none);
-    None for any other adversary."""
-    if spec == "clique":
-        return n * (n - 1) // 2
+def arena(spec: str, n: int, graph: Graph | None = None) -> tuple[Graph, Adversary, int]:
+    """Graph, adversary and step floor for a duel against none, clique or
+    killer: on ``graph`` when one is given, else on the arena's own graph of
+    ``n`` nodes.  The floor is the steps the arena forces on any agent: one
+    step per new node (none), every clique edge once (clique), or a spanning
+    tree walked both ways (killer)."""
+    if spec not in ("none", "clique", "killer"):
+        raise GraphError(f"unknown adversary {spec!r} (expected none, clique or killer)")
     if spec == "killer":
-        return 2 * (n - 1)
+        trap = build_dfs_killer(n)  # n is the dfs-killer family's only parameter
+        if graph is not None and trap.graph != graph:
+            raise GraphError("input graph does not match its dfs-killer parameters")
+        return trap.graph, KillerAdversary(trap), 2 * (n - 1)
+    graph = complete_graph(n) if graph is None else graph
     if spec == "none":
-        return n - 1
-    return None
+        return graph, NullAdversary(), n - 1
+    return graph, CliqueAdversary(), n * (n - 1) // 2
 
 
 def killer_script(trap: DfsTrap, max_steps: int | None = None) -> FailureSchedule:

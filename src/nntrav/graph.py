@@ -44,7 +44,7 @@ def _bulk_rows(rows: list, row_types: set[type], width: int, n: int) -> bool:
 class Graph:
     """Simple undirected graph supporting edge deletion but never insertion."""
 
-    __slots__ = ("n", "_adj", "_edge_count", "_masks")
+    __slots__ = ("n", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -58,12 +58,11 @@ class Graph:
                 adj[u].add(v)
                 adj[v].add(u)
             if sum(map(len, adj)) == 2 * len(pairs):  # no self-loop, no duplicate
-                self._adj, self._edge_count = adj, len(pairs)
+                self._adj = adj
                 return
             adj = [set() for _ in range(n)]
         # entry by entry, to name the first bad one
         self._adj = adj
-        self._edge_count = 0
         for pair in pairs:
             try:
                 u, v = pair
@@ -77,7 +76,6 @@ class Graph:
                 raise GraphError(f"duplicate edge {normalize_edge(u, v)}")
             self._adj[u].add(v)
             self._adj[v].add(u)
-            self._edge_count += 1
 
     def _check_node(self, v: int) -> None:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.n:
@@ -85,7 +83,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return sum(map(len, self._adj)) // 2
 
     @property
     def adjacency(self) -> list[set[int]]:
@@ -123,15 +121,20 @@ class Graph:
             raise GraphError(f"edge {normalize_edge(u, v)} is not in the graph")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._edge_count -= 1
         if self._masks is not None:
             self._masks[u] ^= 1 << v
             self._masks[v] ^= 1 << u
 
+    def delete_edges(self, edges: Iterable[Sequence[int]]) -> tuple[Edge, ...]:
+        """Delete ``edges`` in order, as :meth:`delete_edge` does; returns them normalized."""
+        cuts = tuple(normalize_edge(u, v) for u, v in edges)
+        for u, v in cuts:
+            self.delete_edge(u, v)
+        return cuts
+
     def copy(self) -> Graph:
         g = Graph(self.n)
         g._adj = [set(s) for s in self._adj]
-        g._edge_count = self._edge_count
         g._masks = None if self._masks is None else self._masks[:]
         return g
 
@@ -147,7 +150,7 @@ class Graph:
         return self.n == other.n and self._adj == other._adj
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self._edge_count})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def complete_graph(n: int) -> Graph:

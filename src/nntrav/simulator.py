@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
+from itertools import chain
 from operator import gt, lt
 from typing import Callable, Iterable, NamedTuple
 
@@ -81,6 +82,11 @@ class FailureSchedule:
 
     def edges_at(self, iteration: int) -> tuple[Edge, ...]:
         return self.deletions.get(iteration, ())
+
+    def check(self, graph: Graph) -> None:
+        """Raise :meth:`Graph.delete_edge`'s error for the first scheduled edge
+        not in ``graph``, before a run reaches its round."""
+        graph.copy().delete_edges(chain.from_iterable(self.deletions.values()))
 
 
 class SimStep(NamedTuple):
@@ -200,10 +206,8 @@ def sim_step(run: SimTrace, graph: Graph, deletions: tuple[Edge, ...] = ()) -> S
     if dist[pos] > run.explored:
         run.outcome = "terminated"
     else:
-        for u, v in deletions:
-            graph.delete_edge(u, v)
-            due.update((u, v))
-        applied = tuple(normalize_edge(u, v) for u, v in deletions)
+        applied = graph.delete_edges(deletions)
+        due.update(chain.from_iterable(applied))
     return SimStep(run.iterations, before, pos, moved, explored, tuple(dist), applied)
 
 
@@ -246,8 +250,9 @@ def run_sim(
 
     Each round's record goes to ``on_step`` as soon as the round ends, after
     an iteration-0 record of the deletions made before the run, if any; no
-    record is kept.  The input graph is not modified; deletions land on an
-    internal copy.  Deterministic: same graph, start, and schedule give the
+    record is kept.  A scheduled edge not in ``graph`` raises before the first
+    round.  The input graph is not modified; deletions land on an internal
+    copy.  Deterministic: same graph, start, and schedule give the
     identical records.
     """
     if not 0 <= start < graph.n:
@@ -256,10 +261,9 @@ def run_sim(
     budget = iteration_budget(graph.n) if max_iterations is None else max_iterations
     if budget < 0:
         raise GraphError(f"iteration budget must be >= 0, got {budget}")
+    schedule.check(graph)
     work = graph.copy()
-    pre = schedule.edges_at(0)
-    for u, v in pre:
-        work.delete_edge(u, v)
+    pre = work.delete_edges(schedule.edges_at(0))
     if pre and on_step is not None:
         on_step(SimStep(0, start, start, False, None, (), pre))
     run = SimTrace(graph.n, start, pre)

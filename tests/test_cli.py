@@ -495,6 +495,26 @@ def test_duel_schedule_adversary(tmp_path, capsys):
     assert body[-1]["steps"] == 4
 
 
+@pytest.mark.parametrize("edge, message", [
+    ([0, 3], "edge (0, 3) is not in the graph"),
+    ([0, 99], "invalid node id 99 for a graph on 4 nodes"),
+], ids=["non-edge", "no-such-node"])
+@pytest.mark.parametrize("cmd", ["simulate", "duel"])
+def test_a_bad_scheduled_edge_exits_2_before_the_run(tmp_path, capsys, cmd, edge, message):
+    """A scheduled edge not in the graph exits 2 even at a round the run on
+    the 4-node path never reaches, and no trace is written."""
+    inst, sched = tmp_path / "p.json", tmp_path / "s.json"
+    run(capsys, "generate", "path", "--n", "4", "--output", str(inst))
+    sched.write_text(json.dumps({"deletions": [{"iter": 1000, "edges": [edge]}]}))
+    argv = {"simulate": ["simulate", "--input", str(inst), "--schedule", str(sched)],
+            "duel": ["duel", "nn", f"schedule:{sched}", "--input", str(inst)]}[cmd]
+    trace_file = tmp_path / "trace.jsonl"
+    for extra in ([], ["--output", str(trace_file)]):
+        rc, out, err = run(capsys, *argv, *extra)
+        assert rc == EXIT_VALIDATION and out == "" and message in err
+    assert not trace_file.exists() and not list(tmp_path.glob("*.part"))
+
+
 def test_duel_argument_validation(capsys):
     rc, _, err = run(capsys, "duel", "walker", "none", "--n", "4")
     assert rc == EXIT_VALIDATION and "unknown agent" in err
@@ -619,6 +639,14 @@ def test_bench_rejects_unknown_rows(tmp_path, capsys):
     suite.write_text(json.dumps([1, 2]))
     rc, _, err = run(capsys, "bench", "--suite", str(suite))
     assert rc == EXIT_VALIDATION
+
+
+def test_bench_duel_row_with_unknown_adversary_exits_2(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [
+        {"kind": "duel", "n": 6, "agent": "nn", "adversary": "gremlin"}]}))
+    rc, out, err = run(capsys, "bench", "--suite", str(suite))
+    assert rc == EXIT_VALIDATION and out == "" and "unknown adversary 'gremlin'" in err
 
 
 def test_only_duels_build_neighbor_bitsets(monkeypatch, capsys):

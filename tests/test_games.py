@@ -253,6 +253,24 @@ def test_deleting_a_missing_edge_is_an_error():
         play_game(NnAgent(), ScheduleAdversary(sched), path_graph(4), 0)
 
 
+def test_arena_refuses_unknown_adversaries():
+    with pytest.raises(GraphError, match="unknown adversary 'gremlin'"):
+        games.arena("gremlin", 6)
+
+
+@pytest.mark.parametrize("spec, sizes, floor", [
+    ("none", (1, 4, 9), lambda n: n - 1),
+    ("clique", (4, 6, 11), binom2),
+    ("killer", (12, 15, 24), lambda n: 2 * (n - 1)),
+])
+def test_arena_floors(spec, sizes, floor):
+    """One step per new node, every clique edge once, or the trap's spanning
+    tree walked both ways; the arena's graph has the asked size."""
+    for n in sizes:
+        graph, adv, got = games.arena(spec, n)
+        assert got == floor(n) and graph.n == n and adv.name == spec
+
+
 def test_killer_numbers_on_the_smallest_trap():
     trap = build_dfs_killer(12)
     trace, steps = play_recorded(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0,

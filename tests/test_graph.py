@@ -65,6 +65,16 @@ def test_delete_edge_and_copy():
         g.delete_edge(0, 1)  # already gone
 
 
+def test_delete_edges_normalizes_and_deletes_in_order():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert g.delete_edges([(1, 0), [3, 2]]) == ((0, 1), (2, 3))
+    assert g.edges() == [(0, 3), (1, 2)] and g.edge_count == 2
+    with pytest.raises(GraphError, match=r"edge \(0, 2\) is not in the graph"):
+        g.delete_edges([(0, 3), (2, 0)])
+    assert g.edges() == [(1, 2)]  # the cuts before the bad one landed
+    assert g.delete_edges(()) == ()
+
+
 def bitsets(graph):
     return [sum(1 << w for w in nbrs) for nbrs in graph.adjacency]
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nntrav import simulator
 from nntrav.cli import main
 from nntrav.games import (
     CliqueAdversary,
@@ -178,6 +179,47 @@ def test_a_failed_run_leaves_no_partial_trace(tmp_path, cmd, old):
         assert trace.read_text() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["bad.json", *(["trace.jsonl"] if old is not None else [])])
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "duel"])
+def test_a_run_that_fails_midway_keeps_the_old_trace(tmp_path, monkeypatch, cmd):
+    """A run that fails after tens of KiB of its trace are on disk: the
+    ``--output`` file keeps its old bytes and no ``.part`` file is left."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("earlier bytes\n")
+    written = []  # the partial trace's size when the run fails
+
+    def fail():
+        written.extend(p.stat().st_size for p in tmp_path.glob("*.part"))
+        raise GraphError("injected failure")
+
+    if cmd == "duel":  # 780 steps in full
+        react = CliqueAdversary.react
+
+        def late_react(self, graph, visited, step, frm, to):
+            if step == 600:
+                fail()
+            return react(self, graph, visited, step, frm, to)
+
+        monkeypatch.setattr(CliqueAdversary, "react", late_react)
+        argv = ["duel", "nn", "clique", "--n", 40]
+    else:  # the n = 96 ring terminates after 282 rounds
+        ring = tmp_path / "ring.json"
+        run(["generate", "lr-pow2", "--m", "6", "--k", "2", "--output", ring])
+        sim_step = simulator.sim_step
+
+        def late_step(state, graph, deletions=()):
+            if state.iterations == 100:
+                fail()
+            return sim_step(state, graph, deletions)
+
+        monkeypatch.setattr(simulator, "sim_step", late_step)
+        argv = ["simulate", "--input", ring]
+    rc, out, err = run([*argv, "--output", trace])
+    assert rc == 2 and out == "" and "injected failure" in err
+    assert len(written) == 1 and written[0] > 8192  # past the write buffer
+    assert trace.read_text() == "earlier bytes\n"
+    assert not list(tmp_path.glob("*.part"))
 
 
 def test_an_output_that_is_no_regular_file_is_written_in_place(tmp_path):
