@@ -116,6 +116,15 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     the cheapest route over the mask ending at ``last`` (field ``last`` of
     ``reach[mask ^ 1 << last]``) plus ``last``'s row.  The backtrack takes the
     lowest-id predecessor attaining each value.
+
+    Each entry ``slots[lo]`` packs four such rows, slot s of n fields holding
+    ``reach[lo | top]`` for top = {}, {a}, {b}, {a, b}, where a and b are the
+    two highest ids and lo holds only lower ones.  One set of big-int
+    operations serves all four slots for each ``last`` in lo; three more steps
+    add the routes ending at a or b, each reading only slots already final:
+    b from slot 0 into 2, a from 0 and 2 into 1 and 3, b from 1 into 3.  A
+    step fills the slots it leaves alone with guard - 1 in every field, which
+    is at least any real entry (n * max cost), so the min keeps them.
     """
     n = c.n
     if n > OPT_ORACLE_LIMIT:
@@ -128,19 +137,34 @@ def opt_traversal(c: CostFunction) -> tuple[int, list[int]]:
     field = (1 << width) - 1
     shifts = [v * width for v in range(n)]
     full = (1 << n) - 1
-    members: list[tuple] = [()]  # members[mask]: (bit, shift, row) of each node in mask
-    for v in range(n):
-        members += [m + ((1 << v, shifts[v], rows[v]),) for m in members]
-    reach = [0] * full  # reach[0] = 0: the route over no node costs nothing
-    for mask in range(1, full):
-        best = None
-        for bit, shift, row in members[mask]:
-            cand = ((reach[mask ^ bit] >> shift) & field) * ones + row
-            best = cand if best is None else _field_min(best, cand, guard, width)
-        reach[mask] = best
+    a, b = n - 2, n - 1
+    sw = n * width  # slot width
+    spread = 1 | 1 << sw | 1 << 2 * sw | 1 << 3 * sw  # 1 in the low bit of each slot
+    guard4, field4, fill = guard * spread, field * spread, guard - ones
+    members: list[tuple] = [()]  # members[lo]: (bit, shift, row in every slot) of each node in lo
+    for v in range(a):
+        members += [m + ((1 << v, shifts[v], rows[v] * spread),) for m in members]
+    def step(x: int, src: tuple[int, ...], up: int) -> tuple[int, int, int, int]:
+        """The routes ending at x, read from slots ``src`` into the slots ``up`` above."""
+        into = sum(1 << (s + up) * sw for s in src)
+        return (shifts[x], sum(field << s * sw for s in src), ones << up * sw,
+                rows[x] * into + fill * (spread - into))
+
+    steps = [step(b, (0,), 2), step(a, (0, 2), 1), step(b, (1,), 2)]
+    slots = []
+    for lo, mem in enumerate(members):
+        best = None if lo else fill * (spread ^ 1)  # reach[{}] = 0, the rest still open
+        for bit, shift, row in mem:
+            cand = ((slots[lo ^ bit] >> shift) & field4) * ones + row
+            best = cand if best is None else _field_min(best, cand, guard4, width)
+        for shift, pick, lift, add in steps:
+            best = _field_min(best, ((best >> shift) & pick) * lift + add, guard4, width)
+        slots.append(best)
+    low = len(members) - 1
     def ending(mask: int, v: int) -> int:
         """Cost of the cheapest route over ``mask`` that ends at v, for v in mask."""
-        return (reach[mask ^ 1 << v] >> shifts[v]) & field
+        mask ^= 1 << v
+        return (slots[mask & low] >> ((mask >> a) * sw + shifts[v])) & field
 
     ends = [ending(full, v) for v in range(n)]
     total = min(ends)

@@ -188,10 +188,20 @@ def test_held_karp_matches_the_parent_table(n, seed, cap, kind):
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 31, 64, 100])
 def test_entries_at_a_field_width_boundary(k):
     """Entries 2^k - 1 and 2^k sit on either side of a change in bit length,
-    so the packed field is exactly as wide as its largest value needs."""
+    so the packed field is exactly as wide as its largest value needs.  The
+    Held-Karp cases run every size up to the limit, so the widest fields
+    fill all four slots of each packed entry, n = 2 and 3 included."""
     lo, hi = (1 << k) - 1, 1 << k
     values = [0, 1, lo, hi]
     rng = random.Random(k)
+    for n in range(2, OPT_ORACLE_LIMIT + 1):
+        m = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                m[u][v] = m[v][u] = rng.choice(values)
+        m[0][n - 1] = m[n - 1][0] = hi
+        c = CostFunction.from_matrix(m)
+        assert opt_traversal(c) == held_karp_oracle(c)
     for _ in range(60):
         n = rng.randint(2, 7)
         m = [[0] * n for _ in range(n)]

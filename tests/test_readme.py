@@ -1,11 +1,14 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its test count is the suite's."""
 
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_library_example_prints_what_it_says():
@@ -16,3 +19,11 @@ def test_library_example_prints_what_it_says():
     cost, profile = out.getvalue().splitlines()
     assert cost == "50"
     assert profile == "{1: 34, 2: 6, 3: 3, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1}"
+
+
+def test_test_count_is_what_pytest_collects():
+    (stated,) = re.findall(r"(\d+) tests:", README.read_text(encoding="utf-8"))
+    collect = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+    out = subprocess.run(collect, cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    (collected,) = re.findall(r"^(\d+) tests collected", out, re.M)
+    assert stated == collected
