@@ -12,7 +12,10 @@ from .graph import CostFunction, GraphError, random_metric_cost
 from .nn import nn_traversal, nn_upper_bound, opt_traversal
 
 BENCH_COLUMNS = ("family", "n", "m", "k", "agent", "adversary", "value", "bound", "ratio", "seed")
-BENCH_ROW_KEYS = {"lr-ratio": ("m", "k"), "duel": ("n", "agent", "adversary"), "random-metric": ("n",)}
+# kind -> (the keys a row must hold, the keys it may also hold)
+BENCH_ROW_KEYS = {"lr-ratio": (("m", "k"), ()),
+                  "duel": (("n", "agent", "adversary"), ("start", "budget")),
+                  "random-metric": (("n",), ("start", "max_cost"))}
 
 
 def _bench_row_kind(row: object, index: int) -> str:
@@ -22,9 +25,13 @@ def _bench_row_kind(row: object, index: int) -> str:
     kind = row.get("kind")
     if not isinstance(kind, str) or kind not in BENCH_ROW_KEYS:
         raise GraphError(f"bench row {index} has unknown kind {kind!r}")
-    for key in BENCH_ROW_KEYS[kind]:
+    needed, optional = BENCH_ROW_KEYS[kind]
+    for key in needed:
         if key not in row:
             raise GraphError(f"bench {kind} row {index} needs {key!r}")
+    for key in row:
+        if key != "kind" and key not in needed and key not in optional:
+            raise GraphError(f"bench {kind} row {index} has unknown key {key!r}")
     for key in ("n", "m", "k", "start", "budget", "max_cost"):
         if key in row and (not isinstance(row[key], int) or isinstance(row[key], bool)):
             raise GraphError(f"bench row {index}: {key!r} must be an integer, got {row[key]!r}")

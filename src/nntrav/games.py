@@ -397,6 +397,14 @@ class CliqueAdversary(Adversary):
     z, z' remain, the first of them the agent reaches is cut off on both sides
     and the other becomes x_{i+1}.  The agent can never stand on a chain node,
     and the survivors form a path it must walk end to end.
+
+    It keeps only the target ``x``, the chain node ``prev_x`` before it and
+    the phase number.  Only this adversary deletes edges, and ``play_game``
+    applies a step's cuts after ``react`` returns, so the target's live
+    neighbors adj[x] − {prev_x} are those the last reaction left: three or
+    more while it cuts, exactly z and z' while it waits, fewer once dormant.
+    After any move's cuts land the live set is adj[x] − {prev_x, to}, for
+    the new x and prev_x, so one check reports a new z-pair or dormancy.
     """
 
     name = "clique"
@@ -408,65 +416,41 @@ class CliqueAdversary(Adversary):
             raise GameError(f"clique adversary needs n >= 4, got {n}")
         if graph.edge_count != n * (n - 1) // 2:
             raise GameError("clique adversary requires a complete initial graph")
-        self.phase = "wait"
-        self.phase_index = 0
         self.x: int | None = None
         self.prev_x: int | None = None
-        self.zpair: set[int] = set()
+        self.phase = 0
         return []
-
-    def _normalize(self, live: set[int], step: int) -> None:
-        # live = surviving non-chain neighbors of the current target.
-        if len(live) >= 3:
-            self.phase = "cutting"
-            self.zpair = set()
-        elif len(live) == 2:
-            self.phase = "zwait"
-            self.zpair = set(live)
-            self.events.append(
-                {"kind": "z-pair", "phase": self.phase_index, "pair": sorted(live), "step": step})
-        else:
-            self.phase = "dormant"
-            self.events.append({"kind": "dormant", "phase": self.phase_index, "step": step})
 
     def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
-        if self.phase == "dormant":
-            return []
-        adj = graph.adjacency
-        if self.phase == "wait":
+        adj, x, prev_x, events = graph.adjacency, self.x, self.prev_x, self.events
+        if x is None:  # waiting for the last unvisited node
             if len(visited) < graph.n - 1:
                 return []
-            (x1,) = set(range(graph.n)) - visited
-            self.x = x1
-            self.phase_index = 1
-            self.events.append(
-                {"kind": "phase-start", "phase": 1, "x": x1, "step": step})
-            self._normalize(adj[x1] - {to}, step)
-            return [(to, x1)]
-        if self.phase == "cutting":
-            if to != self.prev_x and self.x in adj[to]:
-                live = adj[self.x] - {to}
-                live.discard(self.prev_x)
-                self._normalize(live, step)
-                return [(to, self.x)]
+            (x,) = set(range(graph.n)) - visited
+            cuts = [(to, x)]
+        elif to == prev_x or to not in adj[x]:
             return []
-        # zwait: the first of the final pair the agent reaches gets cut off.
-        if to in self.zpair:
-            z = to
-            (z_prime,) = self.zpair - {to}
-            old_x = self.x
-            self.events.append({
-                "kind": "phase-end", "phase": self.phase_index,
-                "z": z, "z_prime": z_prime, "step": step,
-            })
-            self.prev_x = old_x
-            self.x = z_prime
-            self.phase_index += 1
-            self.events.append(
-                {"kind": "phase-start", "phase": self.phase_index, "x": z_prime, "step": step})
-            self._normalize(adj[z_prime] - {z, old_x}, step)
-            return [(old_x, z), (z, z_prime)]
-        return []
+        else:
+            live = len(adj[x]) - (prev_x in adj[x])
+            if live < 2:  # dormant
+                return []
+            cuts = [(to, x)]
+            if live == 2:  # the agent reached z: cut it off, z' is the next target
+                (z_prime,) = adj[x] - {prev_x, to}
+                events.append({"kind": "phase-end", "phase": self.phase,
+                               "z": to, "z_prime": z_prime, "step": step})
+                cuts.append((to, z_prime))
+                x, prev_x = z_prime, x
+        if x != self.x:  # a phase starts
+            self.x, self.prev_x, self.phase = x, prev_x, self.phase + 1
+            events.append({"kind": "phase-start", "phase": self.phase, "x": x, "step": step})
+        live = len(adj[x]) - (prev_x in adj[x]) - (to in adj[x])
+        if live == 2:
+            events.append({"kind": "z-pair", "phase": self.phase,
+                           "pair": sorted(adj[x] - {prev_x, to}), "step": step})
+        elif live < 2:
+            events.append({"kind": "dormant", "phase": self.phase, "step": step})
+        return cuts
 
 
 class KillerAdversary(Adversary):

@@ -649,6 +649,20 @@ def test_bench_duel_row_with_unknown_adversary_exits_2(tmp_path, capsys):
     assert rc == EXIT_VALIDATION and out == "" and "unknown adversary 'gremlin'" in err
 
 
+@pytest.mark.parametrize("row, key", [
+    ({"kind": "duel", "family": "path", "n": 6, "agent": "nn", "adversary": "none",
+      "budjet": 2}, "family"),
+    ({"kind": "lr-ratio", "m": 3, "k": 1, "start": 5}, "start"),
+    ({"kind": "random-metric", "n": 5, "budget": 9}, "budget"),
+])
+def test_bench_rejects_keys_its_kind_does_not_read(tmp_path, capsys, row, key):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, row]}))
+    rc, out, err = run(capsys, "bench", "--suite", str(suite))
+    assert rc == EXIT_VALIDATION and out == ""
+    assert f"row 1 has unknown key {key!r}" in err
+
+
 def test_only_duels_build_neighbor_bitsets(monkeypatch, capsys):
     """Graph.masks is for the duel agents: traverse, tree and simulate, on hop
     and metric inputs alike, never ask for it."""

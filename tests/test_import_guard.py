@@ -61,7 +61,7 @@ def test_metric_subcommands_leave_the_other_layers_unloaded(tmp_path):
 def test_hop_subcommands_leave_dataclasses_unloaded(tmp_path):
     (tmp_path / "s.json").write_text('{"deletions": [{"iter": 1, "edges": [[1, 2]]}]}')
     (tmp_path / "b.json").write_text(
-        '{"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, {"kind": "duel", "family": "complete",'
+        '{"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, {"kind": "duel",'
         ' "n": 6, "agent": "nn", "adversary": "clique"}]}')
     ops = [
         ["generate", "path", "--n", "6", "--output", "p.json"],
