@@ -15,10 +15,6 @@ import sys
 from importlib import import_module
 from typing import Sequence
 
-# graph, nn and tree are loaded here although only the handlers use them:
-# perfbench's tracer finds every layer loaded once nntrav.cli and nntrav.games
-# (which loads layered_ring and simulator) are imported.
-from . import nn, tree  # noqa: F401
 from .cli_io import EXIT_IO, EXIT_VALIDATION, GENERATE_PARAMS
 from .graph import GraphError
 

@@ -57,8 +57,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-_BLOCK_ROWS = 256  # rows per compact block: bounds the text held at once
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+_BLOCK_ROWS = 256  # rows per block: bounds the text held at once
 
 
 def _write_json(path: str | None, obj: object) -> None:
@@ -74,11 +73,11 @@ def _dump_json(obj: object, write, nl: str) -> None:
     """Write ``obj`` as ``json.dump(indent=2, sort_keys=True)`` does at the
     depth whose line break and indent are ``nl``.
 
-    A list of nonempty int lists (edges, weight triples) goes through json's
-    C encoder in compact blocks of _BLOCK_ROWS rows, re-indented by
-    ``str.replace``: its text holds no strings, so every comma and bracket is
-    structure.  json's indenting encoder is pure Python and visits every int
-    one call at a time.
+    A flat int list, or a list of nonempty int lists (edges, weight triples),
+    is written in blocks of _BLOCK_ROWS rows, each block from one ``%``
+    template joined from one indented template per row length: a single
+    C-level format call per block.  json's indenting encoder is pure Python
+    and visits every int one call at a time.
     """
     if type(obj) is str:
         write(encode_basestring_ascii(obj))
@@ -100,8 +99,18 @@ def _dump_json(obj: object, write, nl: str) -> None:
     if not isinstance(obj, (list, tuple)) or not obj:  # bools, None, floats, {}, []
         write(json.dumps(obj))
         return
-    if not ({list}.issuperset(map(type, obj)) and all(obj)
-            and {int}.issuperset(map(type, chain.from_iterable(obj)))):
+    comma = "," + inner
+    blocks = (obj[start:start + _BLOCK_ROWS] for start in range(0, len(obj), _BLOCK_ROWS))
+    if {int}.issuperset(map(type, obj)):
+        texts = (comma.join(["%d"] * len(block)) % tuple(block) for block in blocks)
+    elif ({list}.issuperset(map(type, obj)) and all(obj)
+          and {int}.issuperset(map(type, chain.from_iterable(obj)))):
+        deep = inner + "  "
+        row = {size: "[" + deep + ("," + deep).join(["%d"] * size) + inner + "]"
+               for size in set(map(len, obj))}
+        texts = (comma.join(map(row.__getitem__, map(len, block)))
+                 % tuple(chain.from_iterable(block)) for block in blocks)
+    else:
         sep = "["
         for item in obj:
             write(sep + inner)
@@ -109,12 +118,10 @@ def _dump_json(obj: object, write, nl: str) -> None:
             sep = ","
         write(nl + "]")
         return
-    deep = inner + "  "
-    for start in range(0, len(obj), _BLOCK_ROWS):
-        # [[1,2],[3]] -> [<deep>1,<deep>2<inner>],<inner>[<deep>3<inner>]
-        text = _compact(obj[start:start + _BLOCK_ROWS])[2:-2].replace(",", "," + deep)
-        text = text.replace("]," + deep + "[", inner + "]," + inner + "[" + deep)
-        write(("," if start else "[") + inner + "[" + deep + text + inner + "]")
+    sep = "["
+    for text in texts:
+        write(sep + inner + text)
+        sep = ","
     write(nl + "]")
 
 

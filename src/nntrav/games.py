@@ -14,6 +14,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, NamedTuple, Sequence
 
+# nn and tree are loaded here although games never calls them: perfbench's
+# tracer finds every layer loaded once nntrav.cli and nntrav.games are
+# imported.  Only the duel, bench and dfs-killer ops load games, so the other
+# ops leave both uncompiled.
+from . import nn, tree  # noqa: F401
 from .graph import (
     Edge,
     Graph,

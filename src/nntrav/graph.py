@@ -108,9 +108,8 @@ class Graph:
         return self._masks
 
     def edges(self) -> list[Edge]:
-        out = [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
-        out.sort()
-        return out
+        adj = self._adj
+        return [(u, v) for u in range(self.n) for v in sorted(adj[u]) if v > u]
 
     def delete_edge(self, u: int, v: int) -> None:
         self._check_node(u)
@@ -154,7 +153,10 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    graph = Graph(n)
+    every = set(range(n))
+    graph._adj = [every - {v} for v in range(n)]
+    return graph
 
 
 def path_graph(n: int) -> Graph:
@@ -482,9 +484,8 @@ def random_metric_cost(n: int, rng, max_cost: int = 9) -> CostFunction:
 def instance_to_json_obj(graph: Graph, cost: CostFunction | None = None) -> dict:
     obj: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges()]}
     if cost is not None and cost.kind == "matrix":
-        obj["weights"] = [
-            [u, v, cost.cost(u, v)] for u in range(cost.n) for v in range(u + 1, cost.n)
-        ]
+        obj["weights"] = [[u, v, row[v]] for u, row in enumerate(map(cost.row, range(cost.n)))
+                          for v in range(u + 1, cost.n)]
     return obj
 
 

@@ -17,7 +17,7 @@ import json
 import struct
 import sys
 from itertools import chain
-from operator import gt, lt
+from operator import gt, itemgetter, lt
 from typing import Callable, Iterable, NamedTuple
 
 from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
@@ -215,7 +215,10 @@ def trace_writer(write: Callable[[str], object], n: int) -> Callable[[SimStep], 
     """An ``on_step`` consumer that passes each round's trace line, with its
     newline, to ``write``, for a run on ``n`` nodes: the text ``encode_line``
     gives the round's JSON object.  Int lists print the same in ``repr`` as
-    in JSON, and the labels' text is joined from a table of ``str(0 … n + 1)``.
+    in JSON, and the labels' text is gathered from a table of ``str(0 … n + 1)``
+    by one ``itemgetter`` call per round.  On one node that call returns the
+    one label's text, not a tuple, but every label of n = 1 is one character
+    (0 … 2), which the join leaves as it is.
     """
     text = [str(x) for x in range(n + 2)]
 
@@ -224,7 +227,7 @@ def trace_writer(write: Callable[[str], object], n: int) -> Callable[[SimStep], 
         if not step.iteration:
             write(f'{{"deleted": {deleted}, "iter": 0}}\n')
             return
-        write(f'{{"deleted": {deleted}, "dist": [{", ".join(map(text.__getitem__, step.dist))}], '
+        write(f'{{"deleted": {deleted}, "dist": [{", ".join(itemgetter(*step.dist)(text))}], '
               f'"explored": {"null" if step.explored is None else step.explored}, '
               f'"iter": {step.iteration}, "moved": {"true" if step.moved else "false"}, '
               f'"pos_after": {step.pos_after}, "pos_before": {step.pos_before}}}\n')

@@ -12,7 +12,10 @@ runs as ``__main__``, so no op may import ``nntrav.cli`` by name: that would
 compile the core a second time.
 The traced benchmark run imports only ``nntrav.cli`` and ``nntrav.games`` and
 then wraps every layer of its LAYERS table, so that pair must still load all
-of them.
+of them.  ``games`` imports ``nn`` and ``tree`` for that run, and the core
+does not, so the ops that never load ``games`` compile only the ones they
+call: ``generate`` (bar ``dfs-killer``) and ``simulate`` neither, ``traverse``
+only ``nn``.
 
 Every check runs in a fresh interpreter started with ``-S``, so modules that
 site-packages hooks load do not count.
@@ -127,3 +130,12 @@ def test_each_subcommand_loads_only_its_own_handler(loaded_by_op):
 def test_the_core_is_compiled_once_per_op(loaded_by_op):
     for op, loaded in loaded_by_op.items():
         assert "__main__" in loaded and "nntrav.cli" not in loaded, op
+
+
+def test_ops_that_never_call_nn_or_tree_leave_them_unloaded(loaded_by_op):
+    for op, loaded in loaded_by_op.items():
+        cmd, family = op.split()[:2]
+        if cmd == "simulate" or (cmd == "generate" and family != "dfs-killer"):
+            assert not {"nntrav.nn", "nntrav.tree"} & set(loaded), op
+        elif cmd == "traverse":
+            assert "nntrav.nn" in loaded and "nntrav.tree" not in loaded, op

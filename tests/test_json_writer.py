@@ -57,6 +57,37 @@ def test_block_edges_match_json_dump(length):
     assert _written(doc) == _dumped(doc)
 
 
+B = cli_io._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("value, blocks", [
+    ([[1], [2, 3], [4, 5, 6], [7, 8], [9]], 1),  # ragged rows: one template per length
+    ([[i % 5] * (1 + i % 4) for i in range(2 * B + 3)], 3),
+    ([42], 1),
+    ([-7], 1),
+    (list(range(-B, 2 * B)), 3),  # a flat list, also written block by block
+    ([[2**64, -(2**64) - 1], [3, 2**200]], 1),
+    ([2**64 + 1, -(2**70), 10**30], 1),
+    ([[1, 2], [True, 3]], None),  # a bool or None in a row: item by item
+    ([[1, None], [2, 3]], None),
+    ([[0, 1], [2, False]], None),
+    ([1, False, 2], None),
+    ([None, 5], None),
+    ([[1, 2], [], [3]], None),
+    ([[1, 2], (3, 4)], None),
+])
+def test_int_row_kernel_and_its_fallback_match_json_dump(value, blocks):
+    """Int rows and flat int lists take one write per block of B rows; a list
+    holding anything else is written item by item.  Both give json's bytes."""
+    writes = []
+    cli_io._dump_json(value, writes.append, "\n")
+    assert "".join(writes) + "\n" == _dumped(value)
+    if blocks is None:
+        assert len(writes) >= 2 * len(value) + 1
+    else:
+        assert len(writes) == blocks + 1
+
+
 def test_generate_peak_memory_stays_bounded(tmp_path):
     """The n = 140 instance has 9,730 weight triples; written as one string
     they would raise the op's traced peak to about 5.4 MB.  With blocks of 256

@@ -13,7 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nntrav import simulator
@@ -139,10 +139,14 @@ def test_simulate_traces_match_the_per_round_encoder(tmp_path, budget):
 
 
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(n=1, seed=0)
+@example(n=2, seed=5)
 @settings(max_examples=60, deadline=None)
 def test_round_lines_match_the_per_round_encoder(n, seed):
     """Random runs with pre-run and in-run cuts, to the end or a random
-    budget: each record's line is the text of its JSON object."""
+    budget: each record's line is the text of its JSON object.  The examples
+    gather one label per round (where ``itemgetter`` returns the label, not a
+    tuple) and two labels with a cut in round 2."""
     rng = random.Random(seed)
     graph = random_connected_graph(rng, n)
     budget = rng.choice([None, rng.randint(0, 4 * n)])
