@@ -73,11 +73,11 @@ def _dump_json(obj: object, write, nl: str) -> None:
     """Write ``obj`` as ``json.dump(indent=2, sort_keys=True)`` does at the
     depth whose line break and indent are ``nl``.
 
-    A flat int list, or a list of nonempty int lists (edges, weight triples),
-    is written in blocks of _BLOCK_ROWS rows, each block from one ``%``
-    template joined from one indented template per row length: a single
-    C-level format call per block.  json's indenting encoder is pure Python
-    and visits every int one call at a time.
+    A flat int list, or a list of nonempty int rows (lists or tuples: edges,
+    weight triples), is written in blocks of _BLOCK_ROWS rows, each block
+    from one ``%`` template joined from one indented template per row length:
+    a single C-level format call per block.  json's indenting encoder is pure
+    Python and visits every int one call at a time.
     """
     if type(obj) is str:
         write(encode_basestring_ascii(obj))
@@ -103,7 +103,7 @@ def _dump_json(obj: object, write, nl: str) -> None:
     blocks = (obj[start:start + _BLOCK_ROWS] for start in range(0, len(obj), _BLOCK_ROWS))
     if {int}.issuperset(map(type, obj)):
         texts = (comma.join(["%d"] * len(block)) % tuple(block) for block in blocks)
-    elif ({list}.issuperset(map(type, obj)) and all(obj)
+    elif ({list, tuple}.issuperset(map(type, obj)) and all(obj)
           and {int}.issuperset(map(type, chain.from_iterable(obj)))):
         deep = inner + "  "
         row = {size: "[" + deep + ("," + deep).join(["%d"] * size) + inner + "]"

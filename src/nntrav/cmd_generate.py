@@ -43,9 +43,9 @@ def run(args: argparse.Namespace) -> int:
         sidecar = {
             "nu": lr.nu,
             "k": k,
-            "positions": list(lr.positions),
-            "layer_ids": {str(i): list(ids) for i, ids in lr.layer_ids.items()},
-            "layer_positions": {str(i): list(lr.layer_sets[i - 1]) for i in range(1, k + 1)},
+            "positions": lr.positions,
+            "layer_ids": {str(i): ids for i, ids in lr.layer_ids.items()},
+            "layer_positions": {str(i): ids for i, ids in enumerate(lr.layer_sets, 1)},
             "routes": {"nn": nn_route, "hamiltonian": hamiltonian_route(lr)},
             "costs": {"nn": lr.nn_cost, "opt": lr.n - 1},
             "scripted_ties": nn_route,
@@ -59,7 +59,7 @@ def run(args: argparse.Namespace) -> int:
             "nu": pr.base.nu,
             "k": pr.base.k,
             "base_n": pr.base.n,
-            "extras": list(pr.extras),
+            "extras": pr.extras,
             "routes": {"nn": pr.nn_route, "hamiltonian": pr.hamiltonian},
             "costs": {"nn": len(pr.extras) + pr.base.nn_cost, "opt": n - 1},
             "scripted_ties": pr.nn_route,
@@ -71,10 +71,10 @@ def run(args: argparse.Namespace) -> int:
         trap = build_dfs_killer(n)
         graph = trap.graph
         sidecar = {
-            "clique_a": list(trap.clique_a),
-            "clique_b": list(trap.clique_b),
-            "path_nodes": list(trap.path_nodes),
-            "tree_edges": [list(e) for e in sorted(trap.tree_edges)],
+            "clique_a": trap.clique_a,
+            "clique_b": trap.clique_b,
+            "path_nodes": trap.path_nodes,
+            "tree_edges": sorted(trap.tree_edges),
             "rule": trap.rule,
             "script": killer_script(trap).to_json_obj(),
         }

@@ -85,7 +85,7 @@ def run(args: argparse.Namespace) -> int:
         "cost": total,
         "lambda": {str(j): k for j, k in profile.items()},
         "metric": metric,
-        "triangle_violation": list(violation) if violation else None,
+        "triangle_violation": violation,
         "opt": opt,
         "opt_source": opt_source,
         "ratio": f"{total}/{opt}" if opt else None,

@@ -16,17 +16,18 @@ def run(args: argparse.Namespace) -> int:
         ranks = list(range(cost.n))
     else:
         ranks = shuffled_ranks(cost.n, random.Random(split_seed(seed, "ranks")))
-    tree = nn_tree(cost, ranks)
-    mst, mst_edges = mst_cost(cost)
+    mat = cost.as_matrix()
+    tree = nn_tree(mat, ranks)
+    mst, mst_edges = mst_cost(mat)
     metric = cost.triangle_violation() is None
     report = {
         "n": cost.n,
-        "ranks": list(ranks),
+        "ranks": ranks,
         "root": tree.root,
         "edges": [[u, v, tree.costs[(u, v)]] for u, v in tree.edges],
         "total": tree.total,
         "mst": mst,
-        "mst_edges": [list(e) for e in mst_edges],
+        "mst_edges": mst_edges,
         "metric": metric,
         "budget": None,
         "bound_ok": None,

@@ -343,7 +343,6 @@ class DfsRestartAgent(AgentStrategy):
         self.stack: list[int] = []
         self.seen = 1 << start  # bitset of the nodes the current search has reached
         self.attempt = 1
-        self.last_kind: str | None = None
 
     def decide(self, graph: Graph, visited: set[int], pos: int) -> int | None:
         masks = self.masks
@@ -354,19 +353,16 @@ class DfsRestartAgent(AgentStrategy):
                 low = fresh & -fresh
                 stack.append(pos)
                 self.seen |= low
-                self.last_kind = "forward"
                 return low.bit_length() - 1
             if stack:
                 parent = stack[-1]
                 if masks[pos] >> parent & 1:
                     stack.pop()
-                    self.last_kind = "backtrack"
                     return parent
                 # Stack edge gone: forget everything, search anew from here.
                 stack.clear()
                 self.seen = 1 << pos
                 self.attempt += 1
-                self.last_kind = "restart"
                 continue
             return None
 
@@ -486,13 +482,16 @@ class KillerAdversary(Adversary):
     def react(self, graph: Graph, visited: set[int], step: int, frm: int, to: int) -> list[Edge]:
         # The graph is unchanged since the agent decided (only we delete edges),
         # so the replica sees exactly what the agent saw.
-        predicted = self.shadow.decide(graph, visited, frm)
-        if predicted != to:
+        shadow = self.shadow
+        if shadow.decide(graph, visited, frm) != to:
             raise GameError("killer adversary requires the restarting-DFS agent")
-        if self.shadow.last_kind == "forward":
+        # Only a forward move leaves frm on top of the replica's stack: it
+        # pushes the node it leaves, a backtrack pops to an ancestor, and a
+        # restart clears the stack before its first push.
+        if shadow.stack and shadow.stack[-1] == frm:
             e = normalize_edge(frm, to)
-            if e not in self.trap.tree_edges and self.shadow.attempt > self._last_cut_attempt:
-                self._last_cut_attempt = self.shadow.attempt
+            if e not in self.trap.tree_edges and shadow.attempt > self._last_cut_attempt:
+                self._last_cut_attempt = shadow.attempt
                 return [e]
         return ()
 

@@ -372,7 +372,8 @@ class CostFunction:
         return self._matrix[u]
 
     def as_matrix(self) -> list[list[int]]:
-        return [list(self.row(u)) for u in range(self.n)]
+        """Every :meth:`row` by node id, the same objects: treat them as read-only."""
+        return [*map(self.row, range(self.n))]
 
     def triangle_violation(self) -> tuple[int, int, int] | None:
         """:func:`check_triangle`'s answer; a hop metric never violates it."""
@@ -482,7 +483,7 @@ def random_metric_cost(n: int, rng, max_cost: int = 9) -> CostFunction:
 
 
 def instance_to_json_obj(graph: Graph, cost: CostFunction | None = None) -> dict:
-    obj: dict = {"n": graph.n, "edges": [list(e) for e in graph.edges()]}
+    obj: dict = {"n": graph.n, "edges": graph.edges()}
     if cost is not None and cost.kind == "matrix":
         obj["weights"] = [[u, v, row[v]] for u, row in enumerate(map(cost.row, range(cost.n)))
                           for v in range(u + 1, cost.n)]

@@ -8,7 +8,7 @@ spanning tree.
 
 from __future__ import annotations
 
-from .graph import CostFunction, Edge, GraphError, normalize_edge, validate_traversal
+from .graph import Edge, GraphError, normalize_edge, validate_traversal
 from .nn import log_ceiling
 
 
@@ -32,11 +32,10 @@ class RankedTree:
         self.root = root
 
 
-def nn_tree(c: CostFunction, ranks) -> RankedTree:
-    """Link every node to its cheapest strictly-higher-ranked node (ties: lowest id)."""
-    n = c.n
+def nn_tree(mat: list[list[int]], ranks) -> RankedTree:
+    """Link every node to its cheapest strictly-higher-ranked node in ``mat`` (ties: lowest id)."""
+    n = len(mat)
     validate_traversal(ranks, n)
-    mat = c.as_matrix()
     root = ranks.index(n - 1)
     attach: dict[int, int] = {}
     for v in range(n):
@@ -52,10 +51,9 @@ def nn_tree(c: CostFunction, ranks) -> RankedTree:
     return RankedTree(attach, edges, costs, sum(costs.values()), root)
 
 
-def mst_cost(c: CostFunction) -> tuple[int, list[Edge]]:
-    """Exact minimum spanning tree over the complete cost graph (Prim, deterministic)."""
-    n = c.n
-    mat = c.as_matrix()
+def mst_cost(mat: list[list[int]]) -> tuple[int, list[Edge]]:
+    """Exact minimum spanning tree of the complete cost matrix ``mat`` (Prim, deterministic)."""
+    n = len(mat)
     if n == 1:
         return 0, []
     in_tree = [False] * n

@@ -213,8 +213,8 @@ def test_criterion_10_rank_tree_bound():
             c = random_metric_cost(n, rng)
             ranks = shuffled_ranks(n, rng)
             assert c.triangle_violation() is None
-            tree = nn_tree(c, ranks)
-            mst = mst_cost(c)[0]
+            tree = nn_tree(c.as_matrix(), ranks)
+            mst = mst_cost(c.as_matrix())[0]
             budget, ok = nnt_bound_check(n, tree.total, mst)
             assert ok
             assert len(tree.edges) == n - 1

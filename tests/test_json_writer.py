@@ -16,11 +16,14 @@ import nntrav.cli_io as cli_io
 # structure characters and escapes that a compact re-indent must not touch
 TEXT = st.text(alphabet=st.sampled_from('ab[],{}:" \\\n\té'), max_size=6)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), TEXT)
-INT_ROWS = st.lists(st.lists(st.integers(-999, 999), max_size=3), max_size=6)
+INT_ROW = st.lists(st.integers(-999, 999), max_size=3)
+INT_ROWS = st.lists(st.one_of(INT_ROW, INT_ROW.map(tuple)), max_size=6)  # json writes tuples as lists
+FLAT = st.lists(st.integers(), max_size=5)
 JSON_VALUES = st.recursive(
-    st.one_of(SCALARS, INT_ROWS, st.lists(st.integers(), max_size=5)),
+    st.one_of(SCALARS, INT_ROWS, INT_ROWS.map(tuple), FLAT, FLAT.map(tuple)),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
         st.lists(st.lists(st.one_of(st.integers(-9, 9), st.none(), st.booleans()), max_size=3),
                  max_size=3),
         st.dictionaries(TEXT, children, max_size=4),
@@ -74,11 +77,16 @@ B = cli_io._BLOCK_ROWS
     ([1, False, 2], None),
     ([None, 5], None),
     ([[1, 2], [], [3]], None),
-    ([[1, 2], (3, 4)], None),
+    ([[1, 2], (3, 4)], 1),  # tuple rows take the kernel as list rows do
+    ((5, -6, 7), 1),  # a flat tuple
+    (((0, 1), (1, 2), (2, 3)), 1),  # tuple rows
+    ([(0, 1, 5), [1, 2, 6], (0, 2, 7)], 1),  # list and tuple rows mixed
+    ([(1, 2), (True, 3)], None),  # a bool in a tuple row: item by item
 ])
 def test_int_row_kernel_and_its_fallback_match_json_dump(value, blocks):
-    """Int rows and flat int lists take one write per block of B rows; a list
-    holding anything else is written item by item.  Both give json's bytes."""
+    """Int rows and flat int lists, lists and tuples alike, take one write per
+    block of B rows; a list holding anything else is written item by item.
+    Both give json's bytes."""
     writes = []
     cli_io._dump_json(value, writes.append, "\n")
     assert "".join(writes) + "\n" == _dumped(value)
@@ -86,6 +94,19 @@ def test_int_row_kernel_and_its_fallback_match_json_dump(value, blocks):
         assert len(writes) >= 2 * len(value) + 1
     else:
         assert len(writes) == blocks + 1
+
+
+def test_tuples_in_dicts_are_written_as_the_same_lists():
+    """Tuples nested in dicts take the same writes as the equal lists."""
+    doc = {"edges": [(0, 1), (1, 2)], "violation": (0, 2, 1),
+           "side": {"pairs": ((3, 4),), "ids": (5,), "mixed": (1, None)}}
+    as_lists = {"edges": [[0, 1], [1, 2]], "violation": [0, 2, 1],
+                "side": {"pairs": [[3, 4]], "ids": [5], "mixed": [1, None]}}
+    writes, list_writes = [], []
+    cli_io._dump_json(doc, writes.append, "\n")
+    cli_io._dump_json(as_lists, list_writes.append, "\n")
+    assert writes == list_writes
+    assert "".join(writes) + "\n" == _dumped(doc)
 
 
 def test_generate_peak_memory_stays_bounded(tmp_path):

@@ -38,17 +38,17 @@ def test_rank_helpers():
         with pytest.raises(GraphError):
             validate_traversal(bad, 3)
         with pytest.raises(GraphError, match="not a permutation"):
-            nn_tree(path3, bad)
+            nn_tree(path3.as_matrix(), bad)
 
 
 def test_star_chain_example():
     # on the star's closure, identity ranks chain the leaves together
-    tree = nn_tree(STAR4, list(range(4)))
+    tree = nn_tree(STAR4.as_matrix(), list(range(4)))
     assert tree.edges == [(0, 1), (1, 2), (2, 3)]
     assert tree.total == 5
     assert tree.root == 3
     assert tree.costs == {(0, 1): 1, (1, 2): 2, (2, 3): 2}
-    mst, edges = mst_cost(STAR4)
+    mst, edges = mst_cost(STAR4.as_matrix())
     assert mst == 3
     assert edges == [(0, 1), (0, 2), (0, 3)]
     assert nnt_bound_check(4, tree.total, mst) == (15, True)
@@ -57,9 +57,9 @@ def test_star_chain_example():
 
 def test_path_identity_ranks_recover_the_path():
     c = metric_closure(path_graph(4))
-    tree = nn_tree(c, list(range(4)))
+    tree = nn_tree(c.as_matrix(), list(range(4)))
     assert tree.edges == [(0, 1), (1, 2), (2, 3)]
-    assert tree.total == 3 == mst_cost(c)[0]
+    assert tree.total == 3 == mst_cost(c.as_matrix())[0]
 
 
 def _assert_spanning_tree(tree, n):
@@ -84,7 +84,7 @@ def test_tree_structure_and_greedy_choice(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
     ranks = shuffled_ranks(n, rng)
-    tree = nn_tree(c, ranks)
+    tree = nn_tree(c.as_matrix(), ranks)
     _assert_spanning_tree(tree, n)
     assert tree.root == ranks.index(n - 1)
     assert len(tree.attach) == n - 1
@@ -105,7 +105,7 @@ def test_mst_is_a_lower_bound_and_budget_holds(n, seed):
     rng = random.Random(seed)
     c = random_metric_cost(n, rng)
     assert c.triangle_violation() is None
-    total, mst = nn_tree(c, shuffled_ranks(n, rng)).total, mst_cost(c)[0]
+    total, mst = nn_tree(c.as_matrix(), shuffled_ranks(n, rng)).total, mst_cost(c.as_matrix())[0]
     budget, ok = nnt_bound_check(n, total, mst)
     assert mst <= total <= budget
     assert budget == math.ceil(2 * (1 + math.log(n)) * mst)
@@ -138,7 +138,7 @@ def test_mst_matches_exhaustive_minimum():
                 if joined == n - 1:
                     w = sum(mat[u][v] for u, v in combo)
                     best = w if best is None else min(best, w)
-            assert mst_cost(c)[0] == best
+            assert mst_cost(c.as_matrix())[0] == best
 
 
 def test_bound_check_rejects_non_metric_costs(tmp_path, monkeypatch, capsys):
@@ -154,15 +154,28 @@ def test_bound_check_rejects_non_metric_costs(tmp_path, monkeypatch, capsys):
     assert rep["metric"] is False and rep["budget"] is None and rep["bound_ok"] is None
     assert rep["ranks"] == [0, 1, 2, 3]  # the default identity ranks
     # the tree itself is still constructible without the bound claim
-    tree = nn_tree(c, list(range(4)))
+    tree = nn_tree(c.as_matrix(), list(range(4)))
     _assert_spanning_tree(tree, 4)
+
+
+def test_tree_builds_the_matrix_once(tmp_path, monkeypatch, capsys):
+    """On a hop ring each all-pairs matrix costs n BFS passes: `tree` builds
+    it once and hands it to both kernels."""
+    ring = tmp_path / "ring.json"
+    assert cli.main(["generate", "lr-pow2", "--m", "3", "--k", "2", "--output", str(ring)]) == 0
+    calls = []
+    as_matrix = CostFunction.as_matrix
+    monkeypatch.setattr(CostFunction, "as_matrix", lambda c: calls.append(c) or as_matrix(c))
+    assert cli.main(["tree", "--input", str(ring), "--ranks", "shuffle"]) == 0
+    assert len(calls) == 1 and calls[0].kind == "hop"
+    assert json.loads(capsys.readouterr().out)["bound_ok"] is True
 
 
 def test_single_node_degenerates_cleanly():
     c = CostFunction.from_matrix([[0]])
-    tree = nn_tree(c, [0])
+    tree = nn_tree(c.as_matrix(), [0])
     assert tree.edges == [] and tree.total == 0 and tree.root == 0
-    assert mst_cost(c) == (0, [])
+    assert mst_cost(c.as_matrix()) == (0, [])
     assert nnt_bound_check(1, tree.total, 0) == (0, True)
     with pytest.raises(GraphError):
         nnt_bound_check(0, 0, 0)
