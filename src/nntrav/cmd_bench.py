@@ -6,8 +6,9 @@ import argparse
 import csv
 import io
 import random
+import sys
 
-from .cli_io import EXIT_OK, _read_json, _resolve_seed, _write_text, split_seed
+from .cli_io import EXIT_BUDGET, EXIT_OK, _read_json, _resolve_seed, _write_text, split_seed
 from .graph import CostFunction, GraphError, random_metric_cost
 from .nn import nn_traversal, nn_upper_bound, opt_traversal
 
@@ -38,7 +39,8 @@ def _bench_row_kind(row: object, index: int) -> str:
     return kind
 
 
-def _bench_row(row: object, index: int, seed: int) -> dict:
+def _bench_row(row: object, index: int, seed: int) -> dict | None:
+    """The row's CSV fields; None, said on stderr, for a duel that exhausts its budget."""
     kind = _bench_row_kind(row, index)
     out = dict.fromkeys(BENCH_COLUMNS, "")
     if kind == "lr-ratio":
@@ -59,6 +61,10 @@ def _bench_row(row: object, index: int, seed: int) -> dict:
         spec = row["adversary"]
         graph, adv, bound = arena(spec, n)
         trace = play_game(agent, adv, graph, row.get("start", 0), row.get("budget"))
+        if trace.outcome == "budget-exhausted":
+            print(f"error: bench duel row {index} exhausted its budget of {trace.step_count} "
+                  "steps", file=sys.stderr)
+            return None
         out.update(family="duel", n=n, agent=row["agent"], adversary=spec,
                    value=trace.step_count, bound=bound,
                    ratio=f"{trace.step_count}/{bound}")
@@ -84,6 +90,8 @@ def run(args: argparse.Namespace) -> int:
     writer.writerow(BENCH_COLUMNS)
     for index, row in enumerate(suite["rows"]):
         result = _bench_row(row, index, seed)
+        if result is None:
+            return EXIT_BUDGET
         writer.writerow([result[col] for col in BENCH_COLUMNS])
     _write_text(args.output, buf.getvalue())
     return EXIT_OK

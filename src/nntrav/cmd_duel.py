@@ -8,7 +8,6 @@ from .cli_io import _read_json, _trace_output, _trace_result
 from .games import (
     Adversary,
     CliqueAdversary,
-    ScheduleAdversary,
     arena,
     clique_stage_lengths,
     make_agent,
@@ -19,7 +18,8 @@ from .graph import Graph, GraphError, instance_from_json_obj
 from .simulator import FailureSchedule
 
 
-def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary, int | None]:
+def _arena(spec: str, n: int | None,
+           instance: object) -> tuple[Graph, Adversary | FailureSchedule, int | None]:
     """Graph, adversary and step floor (None for a schedule) for a duel: on the
     parsed instance JSON when one is given (not None), else generated at size ``n``."""
     graph = None
@@ -31,8 +31,7 @@ def _arena(spec: str, n: int | None, instance: object) -> tuple[Graph, Adversary
     if spec.startswith("schedule:"):
         if graph is None:
             raise GraphError("duel with a schedule adversary needs --input")
-        schedule = FailureSchedule.from_json_obj(_read_json(spec.split(":", 1)[1]))
-        return graph, ScheduleAdversary(schedule), None
+        return graph, FailureSchedule.from_json_obj(_read_json(spec.split(":", 1)[1])), None
     if spec not in ("none", "clique", "killer"):
         raise GraphError(
             f"unknown adversary {spec!r} (expected none, clique, killer, or schedule:FILE)")

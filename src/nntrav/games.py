@@ -58,7 +58,8 @@ class AgentStrategy:
 class Adversary:
     """Deletes edges after each agent move.  ``react`` appends its events (dicts
     naming their step) to ``events``; ``play_game`` hands each step's new ones
-    to ``on_step``."""
+    to ``on_step``, and the cuts ``reset`` returns as step 0.  A
+    ``FailureSchedule`` speaks the same protocol."""
 
     name = "adversary"
 
@@ -75,7 +76,8 @@ class Adversary:
 
 
 class GameTrace(NamedTuple):
-    """A finished game's summary; its steps went to ``play_game``'s ``on_step``.
+    """A finished game's summary; its steps, the pre-run cuts as step 0 among
+    them, went to ``play_game``'s ``on_step``.
 
     ``events`` holds the adversary's events in order (the clique's phase
     events, each naming its step), not the steps.
@@ -84,11 +86,10 @@ class GameTrace(NamedTuple):
     n: int
     agent: str
     adversary: str
-    pre_deleted: tuple[Edge, ...]
     step_count: int
     outcome: str  # "halted" | "budget-exhausted"
     visited: set[int]
-    events: list[dict]
+    events: Sequence[dict]
 
     def to_json_lines(self) -> list[str]:
         """The lines that close the trace after the step lines: the summary."""
@@ -111,7 +112,7 @@ def game_budget(n: int) -> int:
 
 def play_game(
     agent: AgentStrategy,
-    adv: Adversary,
+    adv: Adversary | FailureSchedule,
     graph: Graph,
     start: int,
     max_steps: int | None = None,
@@ -164,7 +165,7 @@ def play_game(
             cut(cuts)
         if on_step is not None:
             on_step(step, frm, pos, cuts, events[seen:] if len(events) > seen else ())
-    return GameTrace(graph.n, agent.name, adv.name, pre, step, outcome, visited, events)
+    return GameTrace(graph.n, agent.name, adv.name, step, outcome, visited, events)
 
 
 def trace_writer(write: Callable[[str], object]) -> Callable[..., None]:
@@ -369,24 +370,6 @@ class DfsRestartAgent(AgentStrategy):
 
 class NullAdversary(Adversary):
     name = "none"
-
-
-class ScheduleAdversary(Adversary):
-    """Replays a fixed deletion schedule keyed by step count (0 = before the run)."""
-
-    name = "schedule"
-
-    def __init__(self, schedule: FailureSchedule) -> None:
-        self.schedule = schedule
-
-    def reset(self, graph: Graph, start: int) -> Sequence[Edge]:
-        super().reset(graph, start)
-        self.schedule.check(graph)
-        return self.schedule.edges_at(0)
-
-    def react(self, graph: Graph, visited: set[int], step: int, frm: int,
-              to: int) -> Sequence[Edge]:
-        return self.schedule.edges_at(step)
 
 
 class CliqueAdversary(Adversary):

@@ -33,9 +33,12 @@ class ScheduleError(GraphError):
 
 
 class FailureSchedule:
-    """Edges to delete at the end of given iterations; iteration 0 means before the run."""
+    """Edges to delete at the end of given iterations; iteration 0 means before
+    the run.  It is also the adversary that replays them in ``games.play_game``."""
 
     __slots__ = ("deletions",)
+    name = "schedule"
+    events = ()  # a schedule raises no events
 
     def __init__(self, deletions: dict[int, tuple[Edge, ...]] | None = None) -> None:
         seen: set[Edge] = set()
@@ -83,14 +86,19 @@ class FailureSchedule:
     def edges_at(self, iteration: int) -> tuple[Edge, ...]:
         return self.deletions.get(iteration, ())
 
-    def check(self, graph: Graph) -> None:
-        """Raise :meth:`Graph.delete_edge`'s error for the first scheduled edge
-        not in ``graph``, before a run reaches its round."""
+    def reset(self, graph: Graph, start: int) -> tuple[Edge, ...]:
+        """The cuts before the run; first raises :meth:`Graph.delete_edge`'s
+        error for the first scheduled edge not in ``graph``."""
         graph.copy().delete_edges(chain.from_iterable(self.deletions.values()))
+        return self.edges_at(0)
+
+    def react(self, graph: Graph, visited: set[int], step: int, frm: int,
+              to: int) -> tuple[Edge, ...]:
+        return self.edges_at(step)
 
 
 class SimStep(NamedTuple):
-    """One round's record; iteration 0 records only the deletions made before the run."""
+    """One round's record; iteration 0 is the one record of the cuts made before the run."""
 
     iteration: int
     pos_before: int
@@ -110,16 +118,14 @@ class SimTrace:
     ``rising`` names the rule the next round's labels follow, *rise* (each
     goes up by one, to at most n + 1) or *hold*, and ``due`` holds the nodes
     that round recomputes: the only ones that may break the rule.  The
-    rounds' records go to ``run_sim``'s ``on_step``.
+    rounds' records, the pre-run cuts as iteration 0 among them, go to
+    ``run_sim``'s ``on_step``.
     """
 
-    __slots__ = ("n", "start", "pre_deleted", "outcome", "vis", "dist", "pos", "explored",
-                 "iterations", "rising", "due")
+    __slots__ = ("n", "outcome", "vis", "dist", "pos", "explored", "iterations", "rising", "due")
 
-    def __init__(self, n: int, start: int, pre_deleted: tuple[Edge, ...]) -> None:
+    def __init__(self, n: int, start: int) -> None:
         self.n = n
-        self.start = start
-        self.pre_deleted = pre_deleted
         self.outcome = "budget-exhausted"
         self.vis = [False] * n
         self.vis[start] = True
@@ -264,12 +270,11 @@ def run_sim(
     budget = iteration_budget(graph.n) if max_iterations is None else max_iterations
     if budget < 0:
         raise GraphError(f"iteration budget must be >= 0, got {budget}")
-    schedule.check(graph)
     work = graph.copy()
-    pre = work.delete_edges(schedule.edges_at(0))
+    pre = work.delete_edges(schedule.reset(work, start))
     if pre and on_step is not None:
         on_step(SimStep(0, start, start, False, None, (), pre))
-    run = SimTrace(graph.n, start, pre)
+    run = SimTrace(graph.n, start)
     while run.iterations < budget and run.outcome != "terminated":
         record = sim_step(run, work, schedule.edges_at(run.iterations + 1))
         if on_step is not None:

@@ -8,6 +8,8 @@ spanning tree.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .graph import Edge, GraphError, normalize_edge, validate_traversal
 from .nn import log_ceiling
 
@@ -18,18 +20,14 @@ def shuffled_ranks(n: int, rng) -> list[int]:
     return ranks
 
 
-class RankedTree:
-    """Spanning tree where each non-top node holds one edge to a higher rank."""
+class RankedTree(NamedTuple):
+    """Spanning tree where each non-top node holds one edge to a higher rank:
+    in each edge, the lower-ranked end attaches to the other."""
 
-    __slots__ = ("attach", "edges", "costs", "total", "root")
-
-    def __init__(self, attach: dict[int, int], edges: list[Edge], costs: dict[Edge, int],
-                 total: int, root: int):
-        self.attach = attach  # node -> its chosen higher-ranked target
-        self.edges = edges
-        self.costs = costs
-        self.total = total
-        self.root = root
+    edges: list[Edge]
+    costs: dict[Edge, int]
+    total: int
+    root: int
 
 
 def nn_tree(mat: list[list[int]], ranks) -> RankedTree:
@@ -48,7 +46,7 @@ def nn_tree(mat: list[list[int]], ranks) -> RankedTree:
         attach[v] = best
     edges = sorted(normalize_edge(v, w) for v, w in attach.items())
     costs = {e: mat[e[0]][e[1]] for e in edges}
-    return RankedTree(attach, edges, costs, sum(costs.values()), root)
+    return RankedTree(edges, costs, sum(costs.values()), root)
 
 
 def mst_cost(mat: list[list[int]]) -> tuple[int, list[Edge]]:

@@ -123,9 +123,9 @@ def unbounded_ratio_instance(x: int = 10) -> CostFunction:
     return CostFunction.from_matrix(m)
 
 
-def explored_order(trace: SimTrace, steps: list[SimStep]) -> list[int]:
-    """The start node, then each node in the round it was first explored."""
-    return [trace.start, *(s.explored for s in steps if s.explored is not None)]
+def explored_order(start: int, steps: list[SimStep]) -> list[int]:
+    """``start``, then each node in the round it was first explored."""
+    return [start, *(s.explored for s in steps if s.explored is not None)]
 
 
 @dataclass(frozen=True)
@@ -179,12 +179,10 @@ def first_violation(check, steps: Sequence[SimStep]) -> str | None:
 
 def game_lines_oracle(trace: GameTrace, steps: list[GameStep]) -> list[str]:
     """A game's trace lines built per step with ``encode_line``, as the trace
-    was written before steps were streamed: the pre-run line from
-    ``pre_deleted``, each move, then the summary."""
-    lines = []
-    if trace.pre_deleted:
-        lines.append(encode_line({"step": 0, "deleted": [list(e) for e in trace.pre_deleted]}))
-    lines.extend(encode_line(s.as_json_obj()) for s in steps if s.step)
+    was written before steps were streamed: the pre-run line from step 0,
+    if any, each move, then the summary."""
+    lines = [encode_line(s.as_json_obj() if s.step else
+                         {"step": 0, "deleted": [list(e) for e in s.deleted]}) for s in steps]
     lines.append(encode_line({
         "agent": trace.agent,
         "adversary": trace.adversary,
@@ -197,11 +195,9 @@ def game_lines_oracle(trace: GameTrace, steps: list[GameStep]) -> list[str]:
 
 def sim_lines_oracle(trace: SimTrace, steps: list[SimStep]) -> list[str]:
     """A simulation's trace lines built per round with ``encode_line``, as the
-    trace was written before rounds were streamed."""
-    lines = []
-    if trace.pre_deleted:
-        lines.append(encode_line({"iter": 0, "deleted": [list(e) for e in trace.pre_deleted]}))
-    lines.extend(encode_line({
+    trace was written before rounds were streamed: the pre-run line from
+    iteration 0, if any, each round, then the summary."""
+    lines = [encode_line({
         "iter": s.iteration,
         "pos_before": s.pos_before,
         "pos_after": s.pos_after,
@@ -209,7 +205,7 @@ def sim_lines_oracle(trace: SimTrace, steps: list[SimStep]) -> list[str]:
         "explored": s.explored,
         "dist": list(s.dist),
         "deleted": [list(e) for e in s.deleted],
-    }) for s in steps if s.iteration)
+    } if s.iteration else {"iter": 0, "deleted": [list(e) for e in s.deleted]}) for s in steps]
     lines.append(encode_line({
         "outcome": trace.outcome,
         "iterations": trace.iterations,

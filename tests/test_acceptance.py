@@ -14,7 +14,6 @@ from nntrav.games import (
     CliqueAdversary,
     DfsRestartAgent,
     NnAgent,
-    ScheduleAdversary,
     clique_stage_lengths,
     growth_fit,
     killer_script,
@@ -170,10 +169,11 @@ def test_criterion_7_static_runs_are_greedy():
         for _ in range(100):
             n = rng.randint(2, 40)
             g = random_connected_graph(rng, n)
-            trace, steps = run_recorded(g, rng.randrange(n))
+            start = rng.randrange(n)
+            trace, steps = run_recorded(g, start)
             assert trace.outcome == "terminated"
             assert validate_nn_traversal(
-                CostFunction.hop_metric(g), explored_order(trace, steps)) is None
+                CostFunction.hop_metric(g), explored_order(start, steps)) is None
 
 
 def test_criterion_8_clique_lower_bound():
@@ -197,7 +197,7 @@ def test_criterion_9_scripted_trap_growth():
             trap = build_dfs_killer(n)
             script = killer_script(trap)
             trace = play_game(
-                DfsRestartAgent(), ScheduleAdversary(script), trap.graph, 0, 4 * n**3)
+                DfsRestartAgent(), script, trap.graph, 0, 4 * n**3)
             assert trace.outcome == "halted"
             sizes.append(n)
             steps.append(trace.step_count)
@@ -219,7 +219,8 @@ def test_criterion_10_rank_tree_bound():
             assert ok
             assert len(tree.edges) == n - 1
             seen = {tree.root}
-            for v, w in sorted(tree.attach.items(), key=lambda it: -ranks[it[0]]):
+            attach = dict(sorted(e, key=ranks.__getitem__) for e in tree.edges)
+            for v, w in sorted(attach.items(), key=lambda it: -ranks[it[0]]):
                 assert ranks[w] > ranks[v]
                 assert w in seen  # parents always rank higher: no cycles
                 seen.add(v)

@@ -649,6 +649,22 @@ def test_bench_duel_row_with_unknown_adversary_exits_2(tmp_path, capsys):
     assert rc == EXIT_VALIDATION and out == "" and "unknown adversary 'gremlin'" in err
 
 
+@pytest.mark.parametrize("row, budget", [
+    ({"kind": "duel", "n": 8, "agent": "nn", "adversary": "clique", "budget": 5}, 5),
+    # the killer game at n = 69 takes 40,176 steps, past the default 8·69² = 38,088
+    ({"kind": "duel", "n": 69, "agent": "dfs-restart", "adversary": "killer"}, 38088),
+], ids=["clique-budget-5", "killer-default-budget"])
+def test_bench_duel_row_out_of_budget_exits_3_without_csv(tmp_path, capsys, row, budget):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"kind": "lr-ratio", "m": 3, "k": 1}, row]}))
+    out_path = tmp_path / "out.csv"
+    rc, out, err = run(capsys, "bench", "--suite", str(suite), "--output", str(out_path))
+    assert rc == EXIT_BUDGET and out == "" and not out_path.exists()
+    assert f"bench duel row 1 exhausted its budget of {budget} steps" in err
+    rc, out, _ = run(capsys, "bench", "--suite", str(suite))
+    assert rc == EXIT_BUDGET and out == ""
+
+
 @pytest.mark.parametrize("row, key", [
     ({"kind": "duel", "family": "path", "n": 6, "agent": "nn", "adversary": "none",
       "budjet": 2}, "family"),

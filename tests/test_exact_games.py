@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from nntrav.games import CliqueAdversary, NnAgent, ScheduleAdversary, play_game
+from nntrav.games import CliqueAdversary, NnAgent, play_game
 from nntrav.graph import Graph, complete_graph
 from nntrav.simulator import FailureSchedule
 
@@ -161,7 +161,7 @@ def test_nn_agent_makes_the_rules_moves():
         script = [cuts for cuts, _ in history] + [pending]
         schedule = FailureSchedule({step: cuts for step, cuts in enumerate(script)})
         moves: list[int] = []
-        trace = play_game(NnAgent(), ScheduleAdversary(schedule), complete_graph(4), 0,
+        trace = play_game(NnAgent(), schedule, complete_graph(4), 0,
                           len(script), lambda step, frm, to, *_: step and moves.append(to))
         want = [move for _, move in history] + ([] if hop is None else [hop])
         assert moves == want

@@ -12,7 +12,6 @@ from nntrav.games import (
     KillerAdversary,
     NnAgent,
     NullAdversary,
-    ScheduleAdversary,
     clique_stage_lengths,
     game_budget,
     growth_fit,
@@ -23,7 +22,7 @@ from nntrav.games import (
 from nntrav.graph import Graph, GraphError, complete_graph, path_graph
 from nntrav.layered_ring import build_dfs_killer
 from nntrav.simulator import FailureSchedule
-from helpers import GameStep, play_recorded, random_connected_graph
+from helpers import GameStep, play_recorded, random_connected_graph, run_recorded
 
 
 def binom2(n):
@@ -210,8 +209,7 @@ class CutRecordingAgent(NnAgent):
 
 
 @pytest.mark.parametrize("adv, graph", [
-    (ScheduleAdversary(FailureSchedule(
-        {0: ((3, 0),), 2: ((2, 1), (4, 5)), 3: ((1, 4),), 5: ((5, 0),)})),
+    (FailureSchedule({0: ((3, 0),), 2: ((2, 1), (4, 5)), 3: ((1, 4),), 5: ((5, 0),)}),
      Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)])),
     (CliqueAdversary(), complete_graph(6)),
 ], ids=["schedule", "clique"])
@@ -220,8 +218,7 @@ def test_agent_is_reset_on_the_pre_run_graph_and_told_each_steps_cuts(adv, graph
     trace, steps = play_recorded(agent, adv, graph, 0)
     assert trace.outcome == "halted"
     expected = graph.copy()
-    for u, v in trace.pre_deleted:
-        expected.delete_edge(u, v)
+    expected.delete_edges(e for s in steps if not s.step for e in s.deleted)  # the pre-run cuts
     assert agent.start_adjacency == expected.adjacency
     told = [(s.step, s.deleted) for s in steps if s.step and s.deleted]
     assert len(told) >= 3  # the game cuts on several steps
@@ -232,7 +229,7 @@ def test_schedule_adversary_cuts_and_reroutes():
     # cutting (1,2) after the first step forces the nn walker back around
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     sched = FailureSchedule({1: ((1, 2),)})
-    trace, steps = play_recorded(NnAgent(), ScheduleAdversary(sched), g, 0)
+    trace, steps = play_recorded(NnAgent(), sched, g, 0)
     assert trace.outcome == "halted"
     assert steps[0].deleted == ((1, 2),)
     assert [s.to for s in steps] == [1, 0, 3, 2]
@@ -241,16 +238,27 @@ def test_schedule_adversary_cuts_and_reroutes():
 def test_schedule_adversary_pre_run_deletions():
     sched = FailureSchedule({0: ((0, 3),)})
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    trace, steps = play_recorded(NnAgent(), ScheduleAdversary(sched), g, 0)
-    assert trace.pre_deleted == ((0, 3),)
+    _, steps = play_recorded(NnAgent(), sched, g, 0)
     assert steps[0] == GameStep(0, None, None, ((0, 3),), ())
     assert [s.to for s in steps[1:]] == [1, 2, 3]
+
+
+def test_one_schedule_serves_every_run_alike():
+    """A schedule keeps no state from a run: two games with it give the same
+    records, and a simulation with it opens with the same pre-run cuts."""
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3), (1, 4), (2, 5)])
+    sched = FailureSchedule({0: ((3, 0),), 2: ((2, 1), (4, 5)), 3: ((1, 4),)})
+    first = play_recorded(NnAgent(), sched, g, 0)
+    assert play_recorded(NnAgent(), sched, g, 0) == first
+    assert first[1][0] == GameStep(0, None, None, ((0, 3),), ())
+    _, rounds = run_recorded(g, 0, sched)
+    assert (rounds[0].iteration, rounds[0].deleted) == (0, ((0, 3),))
 
 
 def test_deleting_a_missing_edge_is_an_error():
     sched = FailureSchedule({1: ((0, 3),)})  # not an edge of the path
     with pytest.raises(GraphError):
-        play_game(NnAgent(), ScheduleAdversary(sched), path_graph(4), 0)
+        play_game(NnAgent(), sched, path_graph(4), 0)
 
 
 def test_arena_refuses_unknown_adversaries():
@@ -287,7 +295,7 @@ def test_killer_script_replays_identically():
     trap = build_dfs_killer(12)
     live = play_recorded(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, 4 * 12**3)
     script = killer_script(trap)
-    replay = play_recorded(DfsRestartAgent(), ScheduleAdversary(script), trap.graph, 0,
+    replay = play_recorded(DfsRestartAgent(), script, trap.graph, 0,
                            4 * 12**3)
     assert [(s.frm, s.to, s.deleted) for s in replay[1]] == [
         (s.frm, s.to, s.deleted) for s in live[1]
@@ -345,7 +353,7 @@ def test_trace_json_lines():
     sched = FailureSchedule({0: ((0, 3),), 1: ((1, 2),)})
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     out = []
-    trace = play_game(NnAgent(), ScheduleAdversary(sched), g, 0, on_step=trace_writer(out.append))
+    trace = play_game(NnAgent(), sched, g, 0, on_step=trace_writer(out.append))
     assert all(line.endswith("\n") for line in out)
     lines = [*out, *(line + "\n" for line in trace.to_json_lines())]
     assert json.loads(lines[0]) == {"step": 0, "deleted": [[0, 3]]}

@@ -24,7 +24,6 @@ from nntrav.games import (
     DfsRestartAgent,
     NnAgent,
     NullAdversary,
-    ScheduleAdversary,
 )
 from nntrav.graph import (
     CostFunction,
@@ -113,28 +112,29 @@ class SetDfsRestartAgent(AgentStrategy):
             return None
 
 
-def r1_r2_oracle(trace, steps, graph):
-    """R1/R2 over a run's recorded rounds, with a fresh multi-source BFS and a
-    full scan every round."""
+def r1_r2_oracle(steps, graph, start):
+    """R1/R2 over the recorded rounds of a run on ``graph`` from ``start``,
+    with a fresh multi-source BFS and a full scan every round."""
     work = graph.copy()
-    for u, v in trace.pre_deleted:
-        work.delete_edge(u, v)
-    prev = [0] * trace.n
-    visited = [False] * trace.n
-    visited[trace.start] = True
+    n = graph.n
+    prev = [0] * n
+    visited = [False] * n
+    visited[start] = True
     for step in steps:
-        if not step.iteration:  # the pre-run deletions, applied above
+        if not step.iteration:  # the pre-run cuts
+            for u, v in step.deleted:
+                work.delete_edge(u, v)
             continue
         if step.explored is not None:
             visited[step.explored] = True
-        for v in range(trace.n):
+        for v in range(n):
             if step.dist[v] < prev[v]:
                 return (
                     f"R1 violated at iteration {step.iteration}: "
                     f"dist[{v}] decreased {prev[v]} -> {step.dist[v]}"
                 )
-        true = bfs_distances(work, *(v for v in range(trace.n) if not visited[v]))
-        for v in range(trace.n):
+        true = bfs_distances(work, *(v for v in range(n) if not visited[v]))
+        for v in range(n):
             if visited[v] and step.dist[v] > true[v]:
                 return (
                     f"R2 violated at iteration {step.iteration}: "
@@ -182,10 +182,9 @@ def step_rounds(step, graph, start, schedule, budget):
     """The records of a run played with ``step``, each with the rule (True for
     *rise*) and the due set that the run's state gave its round."""
     work = graph.copy()
-    pre = schedule.edges_at(0)
-    for u, v in pre:
+    for u, v in schedule.edges_at(0):
         work.delete_edge(u, v)
-    run = SimTrace(graph.n, start, pre)
+    run = SimTrace(graph.n, start)
     out = []
     while run.iterations < budget and run.outcome != "terminated":
         rising, due = run.rising, set(run.due)
@@ -382,13 +381,13 @@ def test_bitset_agents_play_the_set_based_games(n, seed):
     start = rng.randrange(n)
     schedule = random_schedule(rng, g)
     for fast, oracle in ((NnAgent, NnOracleAgent), (DfsRestartAgent, SetDfsRestartAgent)):
-        got = play_recorded(fast(), ScheduleAdversary(schedule), g, start)
-        want = play_recorded(oracle(), ScheduleAdversary(schedule), g, start)
+        got = play_recorded(fast(), schedule, g, start)
+        want = play_recorded(oracle(), schedule, g, start)
         assert got == want
     for schedule in band_cut_schedules(rng, g, start) + last_node_schedules(rng, g, start):
         with time_limit(5):
-            got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, start)
-        assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, start)
+            got = play_recorded(NnAgent(), schedule, g, start)
+        assert got == play_recorded(NnOracleAgent(), schedule, g, start)
 
 
 def test_nn_agent_drops_its_bands_when_its_next_hop_is_cut():
@@ -397,8 +396,8 @@ def test_nn_agent_drops_its_bands_when_its_next_hop_is_cut():
     take next and goes round by 2, 3, 4, 5 and 7 instead."""
     g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 7), (5, 7)])
     schedule = FailureSchedule({4: ((1, 6),)})
-    got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, 3)
-    assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, 3)
+    got = play_recorded(NnAgent(), schedule, g, 3)
+    assert got == play_recorded(NnOracleAgent(), schedule, g, 3)
     assert [s.to for s in got[1]] == [2, 1, 0, 1, 2, 3, 4, 5, 7, 6]
 
 
@@ -424,8 +423,8 @@ def test_nn_agent_halts_once_the_last_node_is_cut_off(step, cut, halt):
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (0, 4)])
     schedule = FailureSchedule({3: ((1, 3),), step: (cut,)})
     with time_limit(5):
-        got = play_recorded(NnAgent(), ScheduleAdversary(schedule), g, 0)
-    assert got == play_recorded(NnOracleAgent(), ScheduleAdversary(schedule), g, 0)
+        got = play_recorded(NnAgent(), schedule, g, 0)
+    assert got == play_recorded(NnOracleAgent(), schedule, g, 0)
     trace, steps = got
     assert [s.to for s in steps[:3]] == [1, 2, 3]
     assert (trace.outcome, trace.step_count, steps[-1].to) == ("halted", step, halt)
@@ -450,11 +449,12 @@ def tampered(steps, n, rng):
 def test_r1_r2_matches_the_per_round_bfs_checker(n, seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, n)
-    trace, steps = run_recorded(g, rng.randrange(n), random_schedule(rng, g))
+    start = rng.randrange(n)
+    _, steps = run_recorded(g, start, random_schedule(rng, g))
     assert first_violation(check_r1_r2(g), steps) is None
-    assert r1_r2_oracle(trace, steps, g) is None
+    assert r1_r2_oracle(steps, g, start) is None
     bad = tampered(steps, n, rng)
-    assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(trace, bad, g)
+    assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(bad, g, start)
 
 
 def test_tampered_traces_reach_both_verdicts():
@@ -465,10 +465,11 @@ def test_tampered_traces_reach_both_verdicts():
         rng = random.Random(seed)
         n = rng.randint(2, 16)
         g = random_connected_graph(rng, n)
-        trace, steps = run_recorded(g, rng.randrange(n), random_schedule(rng, g))
+        start = rng.randrange(n)
+        _, steps = run_recorded(g, start, random_schedule(rng, g))
         bad = tampered(steps, n, rng)
         got = first_violation(check_r1_r2(g), bad)
-        assert got == r1_r2_oracle(trace, bad, g)
+        assert got == r1_r2_oracle(bad, g, start)
         kinds.add(got[:2] if got else None)
     assert kinds == {"R1", "R2", None}
 
@@ -515,7 +516,7 @@ def test_r1_r2_backs_off_repairs_that_keep_giving_up(monkeypatch):
     13 of 41.  Its verdicts on tampered rounds still match the per-round BFS
     checker's."""
     g = path_graph(120)
-    trace, steps = run_recorded(g, 40)
+    _, steps = run_recorded(g, 40)
     finished = []
     real = simulator._repair
     monkeypatch.setattr(simulator, "_repair",
@@ -525,7 +526,7 @@ def test_r1_r2_backs_off_repairs_that_keep_giving_up(monkeypatch):
     rng = random.Random(5)
     for _ in range(20):
         bad = tampered(steps, g.n, rng)
-        assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(trace, bad, g)
+        assert first_violation(check_r1_r2(g), bad) == r1_r2_oracle(bad, g, 40)
 
 
 def due_sets_oracle(graph, schedule, rounds):

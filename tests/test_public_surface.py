@@ -4,6 +4,13 @@ A function, class, method or property whose only callers are tests belongs in
 ``tests/`` (as an oracle or helper), not in the package.  A use is any name
 or attribute reference outside the definition itself; the match is by bare
 name, so two definitions sharing a name vouch for each other.
+
+Every ``__slots__`` entry and ``NamedTuple`` field is likewise read somewhere
+in the package or ``perfbench/``: a record keeps nothing that only tests read.
+A read is an attribute load; stores and constructor arguments do not count.
+The match is again by bare name, so a field shares its reads with any
+attribute of that name: a ``SimTrace.start`` that was only ever stored would
+pass on ``args.start``.
 """
 
 import ast
@@ -47,8 +54,30 @@ def _uses(paths) -> set[str]:
     return used
 
 
+def _fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified, bare) name of every ``__slots__`` entry and ``NamedTuple`` field."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        record = any(getattr(base, "id", None) == "NamedTuple" for base in node.bases)
+        for item in node.body:
+            if record and isinstance(item, ast.AnnAssign):
+                out.append((f"{node.name}.{item.target.id}", item.target.id))
+            elif isinstance(item, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in item.targets):
+                out.extend((f"{node.name}.{f}", f) for f in ast.literal_eval(item.value))
+    return out
+
+
+def _loads(paths) -> set[str]:
+    return {node.attr for path in paths for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
-USED = _uses([*MODULES, *sorted((ROOT / "perfbench").rglob("*.py"))])
+READERS = [*MODULES, *sorted((ROOT / "perfbench").rglob("*.py"))]
+USED = _uses(READERS)
 
 
 def test_every_package_name_has_a_caller_outside_tests():
@@ -66,3 +95,10 @@ def test_allowlist_holds_only_defined_names_that_still_lack_callers():
     for name in ALLOWED:
         assert name in defined, f"{name} is allowlisted but not defined"
         assert name not in USED, f"{name} has a caller now; drop it from ALLOWED"
+
+
+def test_every_record_field_is_read_outside_tests():
+    loaded = _loads(READERS)
+    unread = [f"{path.name}: {qual}" for path in MODULES
+              for qual, bare in _fields(_parse(path)) if bare not in loaded]
+    assert not unread, "stored but read only by tests, or not at all:\n" + "\n".join(unread)

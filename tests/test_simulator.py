@@ -33,7 +33,7 @@ def test_two_node_trace_frozen():
     assert [s.moved for s in steps] == [True, False, False, False]
     assert [s.explored for s in steps] == [1, None, None, None]
     assert trace.explored == 2
-    assert explored_order(trace, steps) == [0, 1]
+    assert explored_order(0, steps) == [0, 1]
 
 
 def test_single_node_stops_once_label_passes_count():
@@ -47,14 +47,13 @@ def test_path_walk_explores_in_line_order():
     g = path_graph(6)
     trace, steps = run_recorded(g, 0)
     assert trace.outcome == "terminated"
-    assert explored_order(trace, steps) == [0, 1, 2, 3, 4, 5]
-    assert validate_nn_traversal(CostFunction.hop_metric(g), explored_order(trace, steps)) is None
+    assert explored_order(0, steps) == [0, 1, 2, 3, 4, 5]
+    assert validate_nn_traversal(CostFunction.hop_metric(g), explored_order(0, steps)) is None
 
 
 def test_pre_run_deletion_isolates_start():
     sched = FailureSchedule({0: ((0, 1),)})
     trace, steps = run_recorded(complete_graph(2), 0, sched)
-    assert trace.pre_deleted == ((0, 1),)
     assert trace.outcome == "terminated"
     assert trace.visited() == {0}
     assert trace.iterations == 2
@@ -147,7 +146,7 @@ def test_static_run_mimics_greedy_traversal():
         start = rng.randrange(g.n)
         trace, steps = run_recorded(g, start)
         assert trace.outcome == "terminated"
-        order = explored_order(trace, steps)
+        order = explored_order(start, steps)
         hop = CostFunction.hop_metric(g)
         assert validate_nn_traversal(hop, order) is None
         # static termination: within 4*cost + n rounds

@@ -24,7 +24,6 @@ from nntrav.games import (
     KillerAdversary,
     NnAgent,
     NullAdversary,
-    ScheduleAdversary,
 )
 from nntrav.graph import GraphError, complete_graph, instance_from_json_obj
 from nntrav.layered_ring import build_dfs_killer
@@ -75,7 +74,7 @@ def arena(spec, tmp_path):
         return ["--n", 12], trap.graph, KillerAdversary(trap)
     path, schedule = ring_schedule(tmp_path)
     graph, _ = instance_from_json_obj(json.loads(RING.read_text()))
-    return [f"schedule:{path}", "--input", RING], graph, ScheduleAdversary(schedule)
+    return [f"schedule:{path}", "--input", RING], graph, schedule
 
 
 def expected_game(agent, spec, tmp_path, budget):

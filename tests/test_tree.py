@@ -87,9 +87,10 @@ def test_tree_structure_and_greedy_choice(n, seed):
     tree = nn_tree(c.as_matrix(), ranks)
     _assert_spanning_tree(tree, n)
     assert tree.root == ranks.index(n - 1)
-    assert len(tree.attach) == n - 1
+    attach = dict(sorted(e, key=ranks.__getitem__) for e in tree.edges)  # lower rank -> higher
+    assert len(attach) == n - 1
     mat = c.as_matrix()
-    for v, w in tree.attach.items():
+    for v, w in attach.items():
         assert ranks[w] > ranks[v]
         best = min(
             (u for u in range(n) if ranks[u] > ranks[v]),
