@@ -99,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (OverflowError, MemoryError) as err:
+        print(f"error: size too large for this machine ({type(err).__name__})", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO

@@ -37,8 +37,6 @@ def _arena(spec: str, n: int | None,
             f"unknown adversary {spec!r} (expected none, clique, killer, or schedule:FILE)")
     if n is None:
         raise GraphError(f"duel with the {spec} adversary needs --n or --input")
-    if spec == "killer" and instance is not None and instance.get("family") != "dfs-killer":
-        raise GraphError("killer duels need a dfs-killer instance (or --n)")
     return arena(spec, n, graph)
 
 
@@ -61,8 +59,7 @@ def run(args: argparse.Namespace) -> int:
         if isinstance(adv, CliqueAdversary):
             summary["bound"] = floor
             summary["bound_ok"] = trace.step_count >= floor
-            # a run that ends before phase 1 starts raised no event: one unfinished stage
-            summary["stages"] = clique_stage_lengths(trace) if trace.events else [trace.step_count]
+            summary["stages"] = clique_stage_lengths(trace)
         for line in trace.to_json_lines():
             write(line + "\n")
     return _trace_result(trace, summary if args.output else None)

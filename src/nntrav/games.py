@@ -32,10 +32,6 @@ from .layered_ring import DfsTrap, build_dfs_killer
 from .simulator import FailureSchedule, encode_line
 
 
-class GameError(GraphError):
-    """Illegal move, illegal deletion, illegal halt, or broken precondition."""
-
-
 class AgentStrategy:
     """A walker for ``play_game``.  ``reset`` gets the game graph as the first
     move finds it, the pre-run deletions made; every ``decide`` is handed
@@ -56,12 +52,13 @@ class AgentStrategy:
 
 
 class Adversary:
-    """Deletes edges after each agent move.  ``react`` appends its events (dicts
-    naming their step) to ``events``; ``play_game`` hands each step's new ones
-    to ``on_step``, and the cuts ``reset`` returns as step 0.  A
+    """Deletes edges after each agent move; this base deletes none, and is the
+    ``none`` adversary.  ``react`` appends its events (dicts naming their
+    step) to ``events``; ``play_game`` hands each step's new ones to
+    ``on_step``, and the cuts ``reset`` returns as step 0.  A
     ``FailureSchedule`` speaks the same protocol."""
 
-    name = "adversary"
+    name = "none"
 
     def reset(self, graph: Graph, start: int) -> Sequence[Edge]:
         """Prepare for a run; returns edges to delete before the first move."""
@@ -148,13 +145,12 @@ def play_game(
         move = decide(work, visited, pos)
         if move is None:
             if not work.component(pos) <= visited:
-                raise GameError(
-                    f"illegal halt at {pos}: unvisited nodes are still reachable")
+                raise GraphError(f"illegal halt at {pos}: unvisited nodes are still reachable")
             outcome = "halted"
             break
         # the sets hold only valid ids, but True == 1 and 1.0 == 1 would pass
         if type(move) is not int or move not in adj[pos]:
-            raise GameError(f"illegal move {pos} -> {move!r}: nodes not adjacent")
+            raise GraphError(f"illegal move {pos} -> {move!r}: nodes not adjacent")
         frm, pos = pos, move
         step += 1
         visited.add(pos)
@@ -368,10 +364,6 @@ class DfsRestartAgent(AgentStrategy):
             return None
 
 
-class NullAdversary(Adversary):
-    name = "none"
-
-
 class CliqueAdversary(Adversary):
     """The complete-graph strategy that forces at least n·(n−1)/2 steps.
 
@@ -397,9 +389,9 @@ class CliqueAdversary(Adversary):
         super().reset(graph, start)
         n = graph.n
         if n < 4:
-            raise GameError(f"clique adversary needs n >= 4, got {n}")
+            raise GraphError(f"clique adversary needs n >= 4, got {n}")
         if graph.edge_count != n * (n - 1) // 2:
-            raise GameError("clique adversary requires a complete initial graph")
+            raise GraphError("clique adversary requires a complete initial graph")
         self.x: int | None = None
         self.prev_x: int | None = None
         self.phase = 0
@@ -456,7 +448,7 @@ class KillerAdversary(Adversary):
     def reset(self, graph: Graph, start: int) -> list[Edge]:
         super().reset(graph, start)
         if graph != self.trap.graph:
-            raise GameError("killer adversary must play on its own trap graph")
+            raise GraphError("killer adversary must play on its own trap graph")
         self.shadow = DfsRestartAgent()
         self.shadow.reset(graph, start)
         self._last_cut_attempt = 0
@@ -467,7 +459,7 @@ class KillerAdversary(Adversary):
         # so the replica sees exactly what the agent saw.
         shadow = self.shadow
         if shadow.decide(graph, visited, frm) != to:
-            raise GameError("killer adversary requires the restarting-DFS agent")
+            raise GraphError("killer adversary requires the restarting-DFS agent")
         # Only a forward move leaves frm on top of the replica's stack: it
         # pushes the node it leaves, a backtrack pops to an ancestor, and a
         # restart clears the stack before its first push.
@@ -503,7 +495,7 @@ def arena(spec: str, n: int, graph: Graph | None = None) -> tuple[Graph, Adversa
         return trap.graph, KillerAdversary(trap), 2 * (n - 1)
     graph = complete_graph(n) if graph is None else graph
     if spec == "none":
-        return graph, NullAdversary(), n - 1
+        return graph, Adversary(), n - 1
     return graph, CliqueAdversary(), n * (n - 1) // 2
 
 
@@ -525,7 +517,7 @@ def killer_script(trap: DfsTrap, max_steps: int | None = None) -> FailureSchedul
 
     trace = play_game(DfsRestartAgent(), KillerAdversary(trap), trap.graph, 0, max_steps, keep_cuts)
     if trace.outcome != "halted":
-        raise GameError(f"script capture ran past {max_steps} steps without finishing")
+        raise GraphError(f"script capture ran past {max_steps} steps without finishing")
     return FailureSchedule(deletions)
 
 
@@ -533,20 +525,18 @@ def clique_stage_lengths(trace: GameTrace) -> list[int]:
     """Step counts of the clique adversary's stages: initial, each phase, final walk.
 
     Parsed from the trace's phase events; the initial stage ends at the step
-    that starts phase 1, phase i ends at the step carrying its phase-end.
+    that starts phase 1, phase i ends at the step carrying its phase-end.  A
+    trace with no phase events (a run that ended before phase 1) is one
+    unfinished stage of all its steps.
     """
-    boundaries = []
+    ends = [0]
     for ev in trace.events:
         if ev["kind"] == "phase-start" and ev["phase"] == 1:
-            boundaries.append(ev["step"])
+            ends.append(ev["step"])
         elif ev["kind"] == "phase-end":
-            boundaries.append(ev["step"])
-    if not boundaries:
-        raise GameError("trace has no phase events")
-    stages = [boundaries[0]]
-    stages.extend(b - a for a, b in zip(boundaries, boundaries[1:]))
-    stages.append(trace.step_count - boundaries[-1])
-    return stages
+            ends.append(ev["step"])
+    ends.append(trace.step_count)
+    return [b - a for a, b in zip(ends, ends[1:])]
 
 
 def growth_fit(sizes: list[int], steps: list[int]) -> float:

@@ -14,11 +14,9 @@ Edge = tuple[int, int]
 
 
 class GraphError(ValueError):
-    """Invalid node, edge, traversal, or serialized input."""
-
-
-class UnreachableError(GraphError):
-    """A required pairwise distance does not exist in the current graph."""
+    """Any input the tool rejects: an invalid node, edge, traversal or
+    serialized instance, a distance the current graph lacks, a malformed
+    failure schedule, or an illegal game move, deletion, halt or arena."""
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -250,7 +248,7 @@ def _hop_diameter(graph: Graph) -> int:
             a, b = adj[cur]
             prev, cur, length = cur, b if a == prev else a, length + 1
         if length < n:
-            raise UnreachableError("graph is disconnected; hop metric is partial")
+            raise GraphError("graph is disconnected; hop metric is partial")
         return n // 2
     full = (1 << n) - 1
     reach = [1 << v for v in range(n)]
@@ -263,7 +261,7 @@ def _hop_diameter(graph: Graph) -> int:
                     r |= reach[u]
             grown.append(r)
         if grown == reach:
-            raise UnreachableError("graph is disconnected; hop metric is partial")
+            raise GraphError("graph is disconnected; hop metric is partial")
         reach = grown
         radius += 1
     return radius
@@ -357,7 +355,7 @@ class CostFunction:
             return self._matrix[u][v]
         d = hop_distance(self.graph, u, v)
         if d is None:
-            raise UnreachableError(f"nodes {u} and {v} are disconnected under the hop metric")
+            raise GraphError(f"nodes {u} and {v} are disconnected under the hop metric")
         return d
 
     def row(self, u: int) -> list[int]:
@@ -365,7 +363,7 @@ class CostFunction:
         if self.kind == "hop":
             row = bfs_distances(self.graph, u)
             if self.n + 1 in row:
-                raise UnreachableError("graph is disconnected; hop metric is partial")
+                raise GraphError("graph is disconnected; hop metric is partial")
             return row
         if not 0 <= u < self.n:
             raise GraphError(f"invalid node {u!r} for {self.n} nodes")

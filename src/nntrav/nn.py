@@ -9,7 +9,6 @@ from typing import Callable, Sequence
 from .graph import (
     CostFunction,
     GraphError,
-    UnreachableError,
     _field_min,
     _packed,
     nearest_of,
@@ -49,7 +48,7 @@ def _nearest_unvisited(c: CostFunction, pos: int, unvisited: set[int]) -> tuple[
         # search only the ball around pos: a full row would cost one whole BFS per step
         found = nearest_of(c.graph, pos, unvisited)
         if found is None:
-            raise UnreachableError(f"no unvisited node reachable from {pos}")
+            raise GraphError(f"no unvisited node reachable from {pos}")
         return found
     row = c.row(pos)
     best = min(map(row.__getitem__, unvisited))

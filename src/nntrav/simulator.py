@@ -28,10 +28,6 @@ from .graph import Edge, Graph, GraphError, bfs_distances, normalize_edge
 encode_line = json.JSONEncoder(sort_keys=True).encode
 
 
-class ScheduleError(GraphError):
-    """A failure schedule is malformed or names a missing edge."""
-
-
 class FailureSchedule:
     """Edges to delete at the end of given iterations; iteration 0 means before
     the run.  It is also the adversary that replays them in ``games.play_game``."""
@@ -45,15 +41,15 @@ class FailureSchedule:
         self.deletions: dict[int, tuple[Edge, ...]] = {}
         for iteration, edges in sorted((deletions or {}).items()):
             if not isinstance(iteration, int) or isinstance(iteration, bool) or iteration < 0:
-                raise ScheduleError(f"iteration keys must be integers >= 0, got {iteration!r}")
+                raise GraphError(f"iteration keys must be integers >= 0, got {iteration!r}")
             batch = []
             for e in edges:
                 if not (isinstance(e, (list, tuple)) and len(e) == 2
                         and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
-                    raise ScheduleError(f"edge entries must be pairs of node ids, got {e!r}")
+                    raise GraphError(f"edge entries must be pairs of node ids, got {e!r}")
                 e = normalize_edge(*e)
                 if e in seen:
-                    raise ScheduleError(f"edge {e} scheduled for deletion twice")
+                    raise GraphError(f"edge {e} scheduled for deletion twice")
                 seen.add(e)
                 batch.append(e)
             if batch:
@@ -62,16 +58,16 @@ class FailureSchedule:
     @classmethod
     def from_json_obj(cls, obj: object) -> FailureSchedule:
         if not isinstance(obj, dict) or not isinstance(obj.get("deletions"), list):
-            raise ScheduleError('schedule JSON must be {"deletions": [...]}')
+            raise GraphError('schedule JSON must be {"deletions": [...]}')
         deletions: dict[int, list[Edge]] = {}
         for entry in obj["deletions"]:
             if not isinstance(entry, dict) or "iter" not in entry or "edges" not in entry:
-                raise ScheduleError('each deletion entry needs "iter" and "edges"')
+                raise GraphError('each deletion entry needs "iter" and "edges"')
             it = entry["iter"]
             if not isinstance(it, int) or isinstance(it, bool):
-                raise ScheduleError(f'"iter" must be an integer, got {it!r}')
+                raise GraphError(f'"iter" must be an integer, got {it!r}')
             if not isinstance(entry["edges"], list):
-                raise ScheduleError(f'"edges" must be a list, got {entry["edges"]!r}')
+                raise GraphError(f'"edges" must be a list, got {entry["edges"]!r}')
             deletions.setdefault(it, []).extend(entry["edges"])
         return cls({it: tuple(edges) for it, edges in deletions.items()})
 

@@ -19,7 +19,6 @@ from nntrav.graph import (
     Edge,
     Graph,
     GraphError,
-    UnreachableError,
     bfs_levels,
     validate_traversal,
 )
@@ -243,6 +242,6 @@ def validate_nn_traversal(c: CostFunction, order: Sequence[int]) -> int | None:
                 if not unvisited.isdisjoint(level):
                     return i
             else:
-                raise UnreachableError(f"step {i}: node {cur} unreachable from {prev}")
+                raise GraphError(f"step {i}: node {cur} unreachable from {prev}")
         unvisited.discard(cur)
     return None

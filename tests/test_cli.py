@@ -167,6 +167,41 @@ def test_traverse_refuses_a_step_cost_past_the_profile_limit(tmp_path, capsys, c
     assert f"step cost {cost} is above the step-cost profile's limit of 1048576" in err
 
 
+ABSURD_SIZES = {
+    "lr-pow2-m70": ["generate", "lr-pow2", "--m", "70", "--k", "1"],
+    "random-metric-n1e20": ["generate", "random-metric", "--n", "99999999999999999999"],
+    "dfs-killer-n1e20": ["generate", "dfs-killer", "--n", "99999999999999999999"],
+    "bench-lr-ratio-m80": ["bench", "--suite", "SUITE"],
+}
+
+
+@pytest.mark.parametrize("case", ABSURD_SIZES)
+def test_a_size_past_machine_ints_exits_2_on_one_line(tmp_path, capsys, case):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"kind": "lr-ratio", "m": 80, "k": 1}]}))
+    argv = [str(suite) if a == "SUITE" else a for a in ABSURD_SIZES[case]]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_VALIDATION, "")
+    assert err == "error: size too large for this machine (OverflowError)\n"
+
+
+def test_a_size_past_memory_exits_2_on_one_line(tmp_path):
+    """Only ever run under the child's own 256 MB address-space limit: without
+    it this instance grows until the host kills the process."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    inst = tmp_path / "huge.json"
+    inst.write_text('{"n": 99999999999999999999, "edges": []}')
+    env = dict(os.environ, PYTHONPATH=str(Path(nntrav.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nntrav.cli", "traverse", "--input", str(inst)],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr == "error: size too large for this machine (MemoryError)\n"
+
+
 def test_traverse_scripted_accepts_sidecar_files(tmp_path, capsys):
     inst = tmp_path / "lr.json"
     run(capsys, "generate", "lr-pow2", "--m", "3", "--k", "1", "--output", str(inst))
@@ -440,19 +475,21 @@ def test_duel_killer_from_generated_instance(tmp_path, capsys):
     inst = tmp_path / "trap.json"
     run(capsys, "generate", "dfs-killer", "--n", "12", "--output", str(inst))
     rc, out, _ = run(capsys, "duel", "dfs-restart", "killer", "--input", str(inst),
-                     "--budget", str(4 * 12**3))
+                     "--budget", str(4 * 12**3), "--output", str(tmp_path / "tagged.trace"))
     assert rc == 0
-    assert last_json_line(out)["steps"] == 67
+    assert json.loads(out)["steps"] == 67
     side = json.loads((tmp_path / "trap.sidecar.json").read_text())
     assert side["rule"] == "first-nontree-forward-edge-per-search"
     assert side["script"]["deletions"]  # replayable cut schedule ships with it
-    # the trap is rebuilt from the graph's node count, not from "params"
+    # the trap is rebuilt from the graph's node count and checked against the
+    # graph; neither "family" nor "params" is read
     doc = json.loads(inst.read_text())
-    del doc["params"]
+    del doc["family"], doc["params"]
     inst.write_text(json.dumps(doc))
-    rc, out, _ = run(capsys, "duel", "dfs-restart", "killer", "--input", str(inst),
-                     "--budget", str(4 * 12**3))
-    assert rc == 0 and last_json_line(out)["steps"] == 67
+    rc, bare_out, _ = run(capsys, "duel", "dfs-restart", "killer", "--input", str(inst),
+                          "--budget", str(4 * 12**3), "--output", str(tmp_path / "bare.trace"))
+    assert (rc, bare_out) == (0, out)
+    assert (tmp_path / "bare.trace").read_bytes() == (tmp_path / "tagged.trace").read_bytes()
 
 
 def test_duel_killer_needs_matching_agent_and_instance(tmp_path, capsys):

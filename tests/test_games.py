@@ -5,13 +5,12 @@ import pytest
 
 from nntrav import cli, games
 from nntrav.games import (
+    Adversary,
     AgentStrategy,
     CliqueAdversary,
     DfsRestartAgent,
-    GameError,
     KillerAdversary,
     NnAgent,
-    NullAdversary,
     clique_stage_lengths,
     game_budget,
     growth_fit,
@@ -30,7 +29,7 @@ def binom2(n):
 
 
 def test_nn_walks_a_path_end_to_end():
-    trace, steps = play_recorded(NnAgent(), NullAdversary(), path_graph(6), 0)
+    trace, steps = play_recorded(NnAgent(), Adversary(), path_graph(6), 0)
     assert trace.outcome == "halted"
     assert trace.step_count == 5
     assert trace.visited == set(range(6))
@@ -38,7 +37,7 @@ def test_nn_walks_a_path_end_to_end():
 
 
 def test_nn_on_static_clique_needs_n_minus_1():
-    trace = play_game(NnAgent(), NullAdversary(), complete_graph(4), 0)
+    trace = play_game(NnAgent(), Adversary(), complete_graph(4), 0)
     assert trace.step_count == 3
     assert trace.outcome == "halted"
 
@@ -48,13 +47,13 @@ def test_dfs_walks_every_tree_edge_twice():
     for _ in range(10):
         n = rng.randint(2, 11)
         g = random_connected_graph(rng, n, extra=0)
-        trace = play_game(DfsRestartAgent(), NullAdversary(), g, rng.randrange(n))
+        trace = play_game(DfsRestartAgent(), Adversary(), g, rng.randrange(n))
         assert trace.outcome == "halted"
         assert trace.step_count == 2 * (n - 1)
         assert trace.visited == set(range(n))
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert play_game(DfsRestartAgent(), NullAdversary(), star, 0).step_count == 6
-    assert play_game(DfsRestartAgent(), NullAdversary(), star, 1).step_count == 6
+    assert play_game(DfsRestartAgent(), Adversary(), star, 0).step_count == 6
+    assert play_game(DfsRestartAgent(), Adversary(), star, 1).step_count == 6
 
 
 def test_illegal_halt_is_rejected():
@@ -64,8 +63,8 @@ def test_illegal_halt_is_rejected():
         def decide(self, graph, visited, pos):
             return None
 
-    with pytest.raises(GameError):
-        play_game(Quitter(), NullAdversary(), path_graph(3), 0)
+    with pytest.raises(GraphError, match="illegal halt at 0"):
+        play_game(Quitter(), Adversary(), path_graph(3), 0)
 
 
 def test_illegal_move_is_rejected():
@@ -75,8 +74,8 @@ def test_illegal_move_is_rejected():
         def decide(self, graph, visited, pos):
             return (pos + 2) % graph.n
 
-    with pytest.raises(GameError):
-        play_game(Leaper(), NullAdversary(), path_graph(4), 0)
+    with pytest.raises(GraphError, match="illegal move 0 -> 2"):
+        play_game(Leaper(), Adversary(), path_graph(4), 0)
 
 
 def test_moves_must_be_int_node_ids():
@@ -90,12 +89,12 @@ def test_moves_must_be_int_node_ids():
             return self.move
 
     for move in (True, 1.0, -1, 4):  # True == 1.0 == 1, a neighbor of 0
-        with pytest.raises(GameError):
-            play_game(Sloppy(move), NullAdversary(), path_graph(4), 0)
+        with pytest.raises(GraphError, match="illegal move 0 -> "):
+            play_game(Sloppy(move), Adversary(), path_graph(4), 0)
 
 
 def test_budget_is_an_outcome_not_an_error():
-    trace = play_game(NnAgent(), NullAdversary(), path_graph(30), 0, max_steps=2)
+    trace = play_game(NnAgent(), Adversary(), path_graph(30), 0, max_steps=2)
     assert trace.outcome == "budget-exhausted"
     assert trace.step_count == 2
     assert game_budget(3) == 72
@@ -137,9 +136,9 @@ def test_nn_hits_the_bound_exactly_on_larger_cliques():
 
 
 def test_clique_adversary_preconditions():
-    with pytest.raises(GameError):
+    with pytest.raises(GraphError, match="requires a complete initial graph"):
         play_game(NnAgent(), CliqueAdversary(), path_graph(5), 0)
-    with pytest.raises(GameError):
+    with pytest.raises(GraphError, match="needs n >= 4, got 3"):
         play_game(NnAgent(), CliqueAdversary(), complete_graph(3), 0)
 
 
@@ -150,9 +149,9 @@ def test_clique_games_are_deterministic():
 
 
 def test_stage_lengths_need_phase_events():
-    trace = play_game(NnAgent(), NullAdversary(), path_graph(4), 0)
-    with pytest.raises(GameError):
-        clique_stage_lengths(trace)
+    trace = play_game(NnAgent(), Adversary(), path_graph(4), 0)
+    assert not trace.events
+    assert clique_stage_lengths(trace) == [3]  # one unfinished stage
 
 
 class RecordingAdversary(CliqueAdversary):
@@ -305,19 +304,19 @@ def test_killer_script_replays_identically():
 
 def test_killer_script_truncation_is_an_error():
     trap = build_dfs_killer(12)
-    with pytest.raises(GameError):
+    with pytest.raises(GraphError, match="script capture ran past 10 steps"):
         killer_script(trap, max_steps=10)
 
 
 def test_killer_rejects_other_agents():
     trap = build_dfs_killer(12)
-    with pytest.raises(GameError):
+    with pytest.raises(GraphError, match="requires the restarting-DFS agent"):
         play_game(NnAgent(), KillerAdversary(trap), trap.graph, 0)
 
 
 def test_killer_checks_its_graph():
     trap = build_dfs_killer(12)
-    with pytest.raises(GameError):
+    with pytest.raises(GraphError, match="must play on its own trap graph"):
         play_game(DfsRestartAgent(), KillerAdversary(trap), complete_graph(12), 0)
 
 

@@ -8,7 +8,6 @@ from nntrav.graph import (
     CostFunction,
     Graph,
     GraphError,
-    UnreachableError,
     bfs_distances,
     bfs_levels,
     bit_levels,
@@ -211,9 +210,9 @@ def test_unbounded_ratio_instance_is_metric_for_small_x():
 def test_disconnected_hop_metric_raises():
     g = Graph(3, [(0, 1)])
     c = CostFunction.hop_metric(g)
-    with pytest.raises(UnreachableError):
+    with pytest.raises(GraphError, match="nodes 0 and 2 are disconnected under the hop metric"):
         c.cost(0, 2)
-    with pytest.raises(UnreachableError):
+    with pytest.raises(GraphError, match="graph is disconnected; hop metric is partial"):
         c.as_matrix()
 
 
@@ -297,7 +296,7 @@ def test_bfs_kernel_consumers_agree(n, seed):
         tied = sorted(v for v in targets if v != u and row[v] == near)
         assert nearest_of(g, u, targets) == (None if near == sentinel else (near, tied))
         if sentinel in row:
-            with pytest.raises(UnreachableError):
+            with pytest.raises(GraphError, match="graph is disconnected; hop metric is partial"):
                 cost.row(u)
         else:
             assert cost.row(u) == row

@@ -13,7 +13,6 @@ from nntrav.graph import (
     CostFunction,
     Graph,
     GraphError,
-    UnreachableError,
     complete_graph,
     cost_of,
     path_graph,
@@ -90,7 +89,7 @@ def test_invalid_start_raises():
 
 def test_disconnected_hop_walk_raises():
     c = CostFunction.hop_metric(Graph(3, [(0, 1)]))
-    with pytest.raises(UnreachableError):
+    with pytest.raises(GraphError, match="no unvisited node reachable from 1"):
         nn_traversal(c, 0)
 
 

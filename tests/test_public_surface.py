@@ -11,9 +11,14 @@ A read is an attribute load; stores and constructor arguments do not count.
 The match is again by bare name, so a field shares its reads with any
 attribute of that name: a ``SimTrace.start`` that was only ever stored would
 pass on ``args.start``.
+
+Every exception class is named in some ``except`` clause of the package or
+``perfbench/``: an error type that no handler tells apart from its base is
+that base under another name.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +80,31 @@ def _loads(paths) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def _exception_classes(paths) -> list[tuple[str, str]]:
+    """(file, class) of every class derived, directly or through other classes
+    defined in ``paths``, from a built-in exception."""
+    classes = [(path.name, node) for path in paths for node in _parse(path).body
+               if isinstance(node, ast.ClassDef)]
+    known = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    out = []
+    while True:
+        new = [(file, node.name) for file, node in classes if node.name not in known
+               and any(getattr(base, "id", None) in known for base in node.bases)]
+        if not new:
+            return out
+        known.update(name for _, name in new)
+        out += new
+
+
+def _caught(paths) -> set[str]:
+    """Every name or attribute in the type of an ``except`` clause."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for path in paths for handler in ast.walk(_parse(path))
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+            for node in ast.walk(handler.type)}
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 READERS = [*MODULES, *sorted((ROOT / "perfbench").rglob("*.py"))]
 USED = _uses(READERS)
@@ -102,3 +132,10 @@ def test_every_record_field_is_read_outside_tests():
     unread = [f"{path.name}: {qual}" for path in MODULES
               for qual, bare in _fields(_parse(path)) if bare not in loaded]
     assert not unread, "stored but read only by tests, or not at all:\n" + "\n".join(unread)
+
+
+def test_every_exception_class_is_caught_by_name():
+    caught = _caught(READERS)
+    uncaught = [f"{file}: {name}" for file, name in _exception_classes(MODULES)
+                if name not in caught]
+    assert not uncaught, "raised but never caught by name:\n" + "\n".join(uncaught)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from nntrav.graph import CostFunction, Graph, GraphError, complete_graph, cost_of, path_graph
 from nntrav.simulator import (
     FailureSchedule,
-    ScheduleError,
     check_progress,
     check_r1_r2,
     iteration_budget,
@@ -107,11 +106,11 @@ def test_iteration_budget():
 
 
 def test_schedule_rejects_duplicates_and_bad_keys():
-    with pytest.raises(ScheduleError):
+    with pytest.raises(GraphError, match=r"edge \(0, 1\) scheduled for deletion twice"):
         FailureSchedule({0: ((0, 1), (1, 0))})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(GraphError, match="iteration keys must be integers >= 0, got -1"):
         FailureSchedule({-1: ((0, 1),)})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(GraphError, match="iteration keys must be integers >= 0, got True"):
         FailureSchedule({True: ((0, 1),)})
 
 
@@ -121,9 +120,10 @@ def test_schedule_json_round_trip():
     assert again.deletions == sched.deletions
     assert again.edges_at(0) == ((1, 2),)  # normalized
     assert max(again.deletions) == 3
-    for bad in ({}, {"deletions": {}}, {"deletions": [{"iter": "x", "edges": []}]},
-                {"deletions": [{"iter": 1, "edges": [[0]]}]}):
-        with pytest.raises(ScheduleError):
+    for bad, text in (({}, "schedule JSON must be"), ({"deletions": {}}, "schedule JSON must be"),
+                      ({"deletions": [{"iter": "x", "edges": []}]}, '"iter" must be an integer'),
+                      ({"deletions": [{"iter": 1, "edges": [[0]]}]}, "edge entries must be pairs")):
+        with pytest.raises(GraphError, match=text):
             FailureSchedule.from_json_obj(bad)
 
 

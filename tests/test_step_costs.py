@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import nntrav.graph
 from nntrav import cli, cli_io
-from nntrav.games import NnAgent, NullAdversary
+from nntrav.games import Adversary, NnAgent
 from nntrav.graph import CostFunction, cost_of, random_metric_cost
 from nntrav.layered_ring import build_lr
 from nntrav.nn import lambda_profile, nn_traversal, scripted
@@ -65,7 +65,7 @@ def test_nn_duel_without_deletions_walks_the_greedy_order(n, seed):
     g = random_connected_graph(rng, n)
     start = rng.randrange(n)
     order, steps = nn_traversal(CostFunction.hop_metric(g), start)
-    trace, records = play_recorded(NnAgent(), NullAdversary(), g, start)
+    trace, records = play_recorded(NnAgent(), Adversary(), g, start)
     first_visits = [start]
     for record in records:
         if record.to not in first_visits:

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from nntrav import simulator
 from nntrav.cli import main
 from nntrav.games import (
+    Adversary,
     CliqueAdversary,
     DfsRestartAgent,
     KillerAdversary,
     NnAgent,
-    NullAdversary,
 )
 from nntrav.graph import GraphError, complete_graph, instance_from_json_obj
 from nntrav.layered_ring import build_dfs_killer
@@ -66,7 +66,7 @@ def ring_schedule(tmp_path):
 def arena(spec, tmp_path):
     """CLI arguments, graph and a fresh adversary for one duel arena."""
     if spec == "none":
-        return ["--n", 6], complete_graph(6), NullAdversary()
+        return ["--n", 6], complete_graph(6), Adversary()
     if spec == "clique":
         return ["--n", 6], complete_graph(6), CliqueAdversary()
     if spec == "killer":
